@@ -5,12 +5,20 @@ denominator, hashable).  On top of that this module provides univariate
 polynomials over Q, number field elements Q[theta]/(m), dense matrices over a
 number field, rational linear algebra helpers, and the integer Smith normal
 form.  Everything is immutable after construction and all operations are pure.
+
+Number field products and matrix dot products run on integer numerators over
+one common denominator: the operands' numerators are convolved, the terms of
+degree >= n are folded back with a precomputed integer table of
+theta^n, ..., theta^(2n-2) mod m, and canonical Fraction coordinates are built
+once per result coordinate.  FieldElem.coords stays a canonical Fraction
+tuple, so hashes, sort keys and serialized forms do not depend on this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import Singular, ZeroDivisor
@@ -176,9 +184,12 @@ class NumberField:
 
     Arithmetic assumes m is irreducible; a reducible modulus is detected at
     the first inversion of a zero divisor (ZeroDivisor).
+
+    fold_rows[k] holds the nonzero (i, c) of theta^(n+k) mod m =
+    sum(c * theta^i) / fold_den, for k = 0 .. n-2: all a product needs.
     """
 
-    __slots__ = ("modulus", "degree")
+    __slots__ = ("modulus", "degree", "fold_rows", "fold_den")
 
     def __init__(self, modulus: PolyQ):
         if not isinstance(modulus, PolyQ):
@@ -187,11 +198,28 @@ class NumberField:
             raise ValueError("modulus must have degree >= 1")
         if not modulus.is_monic:
             raise ValueError("modulus must be monic")
+        n = modulus.degree
+        low = [-c for c in modulus.coeffs[:n]]  # theta^n = sum low[i] theta^i
+        rows, row = [], low
+        for _ in range(n - 1):
+            rows.append(row)
+            top = row[-1]
+            row = [top * low[0]] + [row[i - 1] + top * low[i] for i in range(1, n)]
+        den = lcm(*(c.denominator for r in rows for c in r))
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "degree", modulus.degree)
+        object.__setattr__(self, "degree", n)
+        object.__setattr__(self, "fold_rows", tuple(
+            tuple((i, c.numerator * (den // c.denominator)) for i, c in enumerate(r) if c)
+            for r in rows
+        ))
+        object.__setattr__(self, "fold_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberField is immutable")
+
+    def from_numerators(self, nums, den: int) -> "FieldElem":
+        """The element with coordinates nums[i] / den (den a positive int)."""
+        return FieldElem(self, tuple(Fraction(x, den) for x in nums))
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.modulus == other.modulus
@@ -286,7 +314,7 @@ class FieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return FieldElem(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -297,7 +325,7 @@ class FieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.field.from_poly(self.as_poly() * o.as_poly())
+        return _dot((self.terms(),), (o.terms(),), self.field)
 
     __rmul__ = __mul__
 
@@ -337,6 +365,17 @@ class FieldElem:
                 "zero divisor: gcd with modulus is %r (reducible modulus)" % g
             )
         return self.field.from_poly(s)
+
+    def terms(self):
+        """(nonzero (i, numerator) pairs, den) with coords[i] = numerator / den.
+
+        den is the least common denominator of the coordinates.
+        """
+        den = lcm(*(c.denominator for c in self.coords))
+        return tuple(
+            (i, c.numerator * (den // c.denominator))
+            for i, c in enumerate(self.coords) if c
+        ), den
 
     def as_poly(self) -> PolyQ:
         return PolyQ(self.coords)
@@ -418,10 +457,11 @@ class MatrixL:
             return MatrixL(self.field, [[e * other for e in r] for r in self.rows])
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows))
+        rows = [[e.terms() for e in r] for r in self.rows]
+        cols = [[e.terms() for e in c] for c in zip(*other.rows)]
         return MatrixL(
             self.field,
-            [[_dot(r, c, self.field) for c in cols] for r in self.rows],
+            [[_dot(r, c, self.field) for c in cols] for r in rows],
         )
 
     def trace(self) -> FieldElem:
@@ -458,14 +498,38 @@ class MatrixL:
 
 
 def _dot(row, col, field: NumberField) -> FieldElem:
-    acc = field.zero
-    for a, b in zip(row, col):
-        acc = acc + a * b
-    return acc
+    """sum(a * b) over paired entries given as FieldElem.terms() values.
 
-
-def mat_inverse(m: MatrixL) -> MatrixL:
-    return m.inverse()
+    The unreduced convolutions of all products add up over one common
+    denominator; the high terms are folded mod the modulus once at the end.
+    """
+    n = field.degree
+    acc = [0] * (2 * n - 1)
+    den = 1
+    for (a, da), (b, db) in zip(row, col):
+        if not (a and b):
+            continue
+        d = da * db
+        scale = 1
+        if d != den:
+            common = lcm(den, d)
+            if common != den:
+                acc = [x * (common // den) for x in acc]
+                den = common
+            scale = common // d
+        for i, x in a:
+            x *= scale
+            for j, y in b:
+                acc[i + j] += x * y
+    out = acc[:n]
+    fold_den = field.fold_den
+    if fold_den != 1:
+        out = [x * fold_den for x in out]
+    for c, fold in zip(acc[n:], field.fold_rows):
+        if c:
+            for i, r in fold:
+                out[i] += c * r
+    return field.from_numerators(out, den * fold_den)
 
 
 def char_poly(m: MatrixL):

@@ -8,7 +8,7 @@ than discovering anything.  The subgroup cuts out the base field K = L^H.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     BadSubgroup,
@@ -32,14 +32,19 @@ class GaloisContext:
 
     Group elements are indices into ``images``; element 0 is the identity.
     ``table[g][h]`` is the index of the composition g o h (apply h first).
+    ``aut_columns[g]`` is (columns, den): columns[k] lists the nonzero
+    (i, c) with g(theta)^k = sum(c * theta^i) / den, the integer form of
+    column k of ``aut_matrices[g]``.
     """
 
-    __slots__ = ("field", "images", "aut_matrices", "table", "inverses", "subgroup")
+    __slots__ = ("field", "images", "aut_matrices", "aut_columns", "table",
+                 "inverses", "subgroup")
 
-    def __init__(self, field, images, aut_matrices, table, inverses, subgroup):
+    def __init__(self, field, images, aut_matrices, aut_columns, table, inverses, subgroup):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "aut_matrices", aut_matrices)
+        object.__setattr__(self, "aut_columns", aut_columns)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "inverses", inverses)
         object.__setattr__(self, "subgroup", subgroup)
@@ -85,12 +90,7 @@ class GaloisContext:
 
     def apply(self, g: int, a: FieldElem) -> FieldElem:
         """Apply automorphism g to a field element (a ring homomorphism)."""
-        mat = self.aut_matrices[g]
-        coords = tuple(
-            sum((row[k] * a.coords[k] for k in range(len(row))), Fraction(0))
-            for row in mat
-        )
-        return FieldElem(self.field, coords)
+        return _act(self.field, self.aut_columns[g], a)
 
     def orbit(self, subgroup, a: FieldElem):
         """The set {g(a) : g in subgroup}, sorted by coordinate vectors."""
@@ -160,26 +160,27 @@ def build_context(modulus, aut_images, subgroup=None) -> GaloisContext:
 
     # matrix of each automorphism on the power basis (column k = g(theta)^k)
     aut_matrices = []
+    aut_columns = []
     for img in images:
-        power = field.one
-        cols = []
-        for _ in range(n):
-            cols.append(power.coords)
-            power = power * img
-        aut_matrices.append(tuple(tuple(col[i] for col in cols) for i in range(n)))
+        powers = [field.one]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * img)
+        aut_matrices.append(tuple(tuple(p.coords[i] for p in powers) for i in range(n)))
+        terms = [p.terms() for p in powers]
+        den = lcm(*(d for _, d in terms))
+        aut_columns.append((
+            tuple(tuple((i, c * (den // d)) for i, c in col) for col, d in terms),
+            den,
+        ))
     aut_matrices = tuple(aut_matrices)
+    aut_columns = tuple(aut_columns)
 
-    index = {img.coords: i for i, img in enumerate(images)}
+    index = {img: i for i, img in enumerate(images)}
     table = []
     for g in range(n):
         row = []
         for h in range(n):
-            mat = aut_matrices[g]
-            coords = tuple(
-                sum((mat[i][k] * images[h].coords[k] for k in range(n)), Fraction(0))
-                for i in range(n)
-            )
-            composed = index.get(coords)
+            composed = index.get(_act(field, aut_columns[g], images[h]))
             if composed is None:
                 raise NotClosed("composition of elements %d and %d leaves the set" % (g, h))
             row.append(composed)
@@ -198,12 +199,23 @@ def build_context(modulus, aut_images, subgroup=None) -> GaloisContext:
             if table[g][h] not in sub_set:
                 raise BadSubgroup("subgroup is not closed under composition")
 
-    ctx = GaloisContext(field, images, aut_matrices, table, inverses, subgroup)
+    ctx = GaloisContext(field, images, aut_matrices, aut_columns, table, inverses, subgroup)
     if ctx.fixed_space_dim(ctx.full_group) != 1:
         raise FixedFieldTooBig("fixed space of the full group has dimension > 1")
     if ctx.fixed_space_dim(subgroup) != n // len(subgroup):
         raise FixedFieldTooBig("fixed space of H has dimension != |G|/|H|")
     return ctx
+
+
+def _act(field, aut_columns, a: FieldElem) -> FieldElem:
+    """Sparse integer product of an automorphism's columns with a's numerators."""
+    columns, den = aut_columns
+    nums, a_den = a.terms()
+    out = [0] * field.degree
+    for k, x in nums:
+        for i, c in columns[k]:
+            out[i] += x * c
+    return field.from_numerators(out, den * a_den)
 
 
 def context_from_json(data) -> GaloisContext:

@@ -71,9 +71,12 @@ def _primitive_candidates(values, dim):
         total += 1
 
 
-def build_kx_module(lweight: LWeight) -> KXModule:
-    """Build the matrix model for a dominant l-weight.
+def _primitive_embedding(lweight: LWeight):
+    """Primitive element t of K(omega) over K and coset representatives of H.
 
+    Returns (values, stabilizer, dim, t, reps): values are the l-weight's
+    coefficient_values(), and reps are the elements of H, in order, giving
+    the dim distinct conjugates of t; reps[0] is the identity.
     Raises PrimitiveSearchFailed if no primitive element shows up within
     10 * d^2 spiral candidates (in characteristic zero a generic combination
     of the coefficient values works).
@@ -95,10 +98,8 @@ def build_kx_module(lweight: LWeight) -> KXModule:
                 "no primitive element within %d candidates" % (10 * dim * dim)
             )
         budget -= 1
-        if weights is None:
-            cand = field.zero
-        else:
-            cand = field.zero
+        cand = field.zero
+        if weights is not None:
             for w, (_, v) in zip(weights, values):
                 if w:
                     cand = cand + w * v
@@ -118,10 +119,24 @@ def build_kx_module(lweight: LWeight) -> KXModule:
             seen.add(img)
             reps.append(h)
     assert reps[0] == 0 and len(reps) == dim
+    return values, stab, dim, primitive, tuple(reps)
+
+
+def build_kx_module(lweight: LWeight) -> KXModule:
+    """Build the matrix model for a dominant l-weight.
+
+    Raises PrimitiveSearchFailed if no primitive element shows up within
+    10 * d^2 spiral candidates (in characteristic zero a generic combination
+    of the coefficient values works).
+    """
+    values, stab, dim, primitive, reps = _primitive_embedding(lweight)
+    ctx = lweight.ctx
+    sub = ctx.subgroup
+    embedding = _vandermonde(ctx, reps, primitive)
 
     matrices = {}
     for (node, r), value in values:
-        mat = _multiplication_matrix(ctx, reps, primitive, value)
+        mat = _multiplication_matrix(ctx, reps, embedding, value)
         for row in mat.rows:
             for entry in row:
                 assert all(ctx.apply(h, entry) == entry for h in sub), \
@@ -133,28 +148,35 @@ def build_kx_module(lweight: LWeight) -> KXModule:
         stabilizer=stab,
         primitive=primitive,
         dim=dim,
-        coset_reps=tuple(reps),
+        coset_reps=reps,
         generator_matrices=matrices,
     )
 
 
-def _multiplication_matrix(ctx, reps, primitive, value) -> MatrixL:
+def _vandermonde(ctx, reps, primitive):
+    """(V, V^-1) with V[j][k] = sigma_j(t)^k, embedding the power basis of t."""
+    images = [ctx.apply(h, primitive) for h in reps]
+    vand = MatrixL(ctx.field, [[img ** k for k in range(len(reps))] for img in images])
+    return vand, vand.inverse()
+
+
+def _multiplication_matrix(ctx, reps, embedding, value) -> MatrixL:
     """Matrix of multiplication by value on the power basis of the primitive.
 
-    V[j][k] = sigma_j(t)^k embeds the power basis; multiplication acts
-    diagonally there, so the matrix is V^-1 diag(sigma_j(value)) V.
+    Multiplication acts diagonally on the embedded basis, so the matrix is
+    V^-1 diag(sigma_j(value)) V; the diagonal is applied as a row scaling.
     """
-    field = ctx.field
-    images = [ctx.apply(h, primitive) for h in reps]
-    vand = MatrixL(field, [[img ** k for k in range(len(reps))] for img in images])
-    diag = MatrixL.diagonal(field, [ctx.apply(h, value) for h in reps])
-    return vand.inverse() * diag * vand
+    vand, vand_inv = embedding
+    scaled = [[ctx.apply(h, value) * e for e in row] for h, row in zip(reps, vand.rows)]
+    return vand_inv * MatrixL(ctx.field, scaled)
 
 
 def multiplication_matrix(module: KXModule, value) -> MatrixL:
     """Matrix of multiplication by any element of K(omega) on the power basis."""
+    ctx = module.lweight.ctx
+    reps = module.coset_reps
     return _multiplication_matrix(
-        module.lweight.ctx, module.coset_reps, module.primitive, value
+        ctx, reps, _vandermonde(ctx, reps, module.primitive), value
     )
 
 
@@ -203,20 +225,20 @@ def tensor_embedding_rank(a: LWeight, b: LWeight):
     equation deg(a) * deg(b) = [K(a,b):K] holds, and its image is always the
     compositum.
     """
-    ma = build_kx_module(a)
-    mb = build_kx_module(b)
+    _, _, dim_a, prim_a, _ = _primitive_embedding(a)
+    _, _, dim_b, prim_b, _ = _primitive_embedding(b)
     ctx = a.ctx
     k_basis = ctx.fixed_space_basis(ctx.subgroup)
     k_deg = len(k_basis)
 
     rows = []
-    for j in range(ma.dim):
-        for k in range(mb.dim):
-            product = (ma.primitive ** j) * (mb.primitive ** k)
+    for j in range(dim_a):
+        for k in range(dim_b):
+            product = (prim_a ** j) * (prim_b ** k)
             for kappa in k_basis:
                 rows.append(list((kappa * product).coords))
     q_rank = frac_rank(rows)
     assert q_rank % k_deg == 0
     rank = q_rank // k_deg
     assert rank == compositum_degree(a, b)
-    return rank, rank == ma.dim * mb.dim
+    return rank, rank == dim_a * dim_b

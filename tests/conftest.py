@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from looprep import (
     LWeight,
+    PolyQ,
+    build_context,
     cyclotomic_context,
     gaussian_context,
     rational_context,
@@ -33,6 +37,30 @@ def cyclo5_half():
 def zeta8():
     """8th cyclotomic field Q(i, sqrt 2), H = full group, K = Q."""
     return cyclotomic_context(8)
+
+
+@pytest.fixture(scope="session")
+def kernel_contexts():
+    """Fields for the arithmetic-kernel property tests, by name.
+
+    sqrt2_sqrt3 is Q(theta) with theta = (sqrt 2 + sqrt 3)/2, a root of
+    theta^4 - (5/2) theta^2 + 1/16: a modulus with non-integral coefficients,
+    whose reduction table has denominator 32 and whose automorphism matrices
+    have denominators up to 4.
+    """
+    return {
+        "zeta5": cyclotomic_context(5),
+        "zeta7": cyclotomic_context(7),
+        "zeta8": cyclotomic_context(8),
+        "zeta15": cyclotomic_context(15),
+        "sqrt2_sqrt3": build_context(
+            PolyQ([Fraction(1, 16), 0, Fraction(-5, 2), 0, 1]),
+            [PolyQ([0, 1]), PolyQ([0, 10, 0, -4]), PolyQ([0, -10, 0, 4]), PolyQ([0, -1])],
+        ),
+    }
+
+
+KERNEL_CONTEXTS = ("zeta5", "zeta7", "zeta8", "zeta15", "sqrt2_sqrt3")
 
 
 @pytest.fixture(scope="session")
@@ -91,3 +119,12 @@ def random_lweight(ctx, rs, rng: random.Random, max_support=3, max_exp=2):
         exp = rng.choice([-2, -1, 1, 2])
         factors[(node, point)] = factors.get((node, point), 0) + exp
     return LWeight(ctx, rs, factors)
+
+
+def field_elements(field, max_denominator=6):
+    """Hypothesis strategy: elements of field with small, often zero, coordinates."""
+    coord = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=max_denominator),
+    )
+    return st.lists(coord, min_size=field.degree, max_size=field.degree).map(field.elem)

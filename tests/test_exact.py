@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import KERNEL_CONTEXTS, field_elements
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looprep import (
     MatrixL,
@@ -186,3 +189,67 @@ class TestMatrixInverse:
             assert inv * m == MatrixL.identity(field, n)
             assert m * inv == MatrixL.identity(field, n)
             done += 1
+
+
+# --- integer-numerator kernels against the Fraction formulas ------------------
+
+def poly_product(a, b):
+    """Oracle: the product as a PolyQ product reduced mod the modulus."""
+    return a.field.from_poly(a.as_poly() * b.as_poly())
+
+
+def naive_matrix_product(x, y):
+    """Oracle: entrywise sum of oracle products, one addition at a time."""
+    field = x.field
+    rows = []
+    for row in x.rows:
+        out = []
+        for col in zip(*y.rows):
+            acc = field.zero
+            for a, b in zip(row, col):
+                acc = acc + poly_product(a, b)
+            out.append(acc)
+        rows.append(out)
+    return MatrixL(field, rows)
+
+
+def matrices(field, nrows, ncols):
+    row = st.lists(field_elements(field), min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows).map(lambda rows: MatrixL(field, rows))
+
+
+class TestKernels:
+    def test_reduction_table_of_non_integral_modulus(self, kernel_contexts):
+        field = kernel_contexts["sqrt2_sqrt3"].field
+        assert field.fold_den == 32
+        for k, fold in enumerate(field.fold_rows):
+            coords = [Fraction(0)] * field.degree
+            for i, c in fold:
+                coords[i] = Fraction(c, field.fold_den)
+            assert field.elem(coords) == field.from_poly(PolyQ.x(field.degree + k))
+
+    def test_terms_round_trip(self, kernel_contexts):
+        field = kernel_contexts["sqrt2_sqrt3"].field
+        a = field.elem([Fraction(1, 4), 0, Fraction(-3, 2), 5])
+        assert a.terms() == (((0, 1), (2, -6), (3, 20)), 4)
+        assert field.zero.terms() == ((), 1)
+
+    @pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_product_matches_poly_oracle(self, kernel_contexts, name, data):
+        field = kernel_contexts[name].field
+        a = data.draw(field_elements(field))
+        b = data.draw(field_elements(field))
+        assert a * b == poly_product(a, b)
+        assert a - b == a + (-b)
+
+    @pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_matrix_product_matches_naive_sum(self, kernel_contexts, name, data):
+        field = kernel_contexts[name].field
+        n, m, p = (data.draw(st.integers(1, 3)) for _ in range(3))
+        x = data.draw(matrices(field, n, m))
+        y = data.draw(matrices(field, m, p))
+        assert x * y == naive_matrix_product(x, y)

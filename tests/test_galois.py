@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import KERNEL_CONTEXTS, field_elements
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from looprep import PolyQ, build_context, context_from_json
+from looprep import FieldElem, PolyQ, build_context, context_from_json
 from looprep.errors import (
     BadSubgroup,
     FixedFieldTooBig,
@@ -157,3 +160,51 @@ class TestFixedSpaces:
     def test_basis_is_fixed(self, zeta8):
         for vec in zeta8.fixed_space_basis(zeta8.subgroup):
             assert all(zeta8.apply(h, vec) == vec for h in zeta8.subgroup)
+
+
+# --- the sparse integer action against the Fraction matrix product ------------
+
+def matrix_apply(ctx, g, a):
+    """Oracle: the Fraction matrix of g times the coordinate vector of a."""
+    return FieldElem(ctx.field, tuple(
+        sum((row[k] * a.coords[k] for k in range(len(row))), Fraction(0))
+        for row in ctx.aut_matrices[g]
+    ))
+
+
+class TestSparseAction:
+    def test_column_denominators_of_non_integral_modulus(self, kernel_contexts):
+        ctx = kernel_contexts["sqrt2_sqrt3"]
+        assert [den for _, den in ctx.aut_columns] == [1, 4, 4, 1]
+        assert ctx.apply(1, ctx.apply(1, ctx.field.gen)) == ctx.field.gen
+
+    @pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+    def test_columns_are_the_matrices(self, kernel_contexts, name):
+        ctx = kernel_contexts[name]
+        n = ctx.field.degree
+        for mat, (columns, den) in zip(ctx.aut_matrices, ctx.aut_columns):
+            dense = [[Fraction(0)] * n for _ in range(n)]
+            for k, col in enumerate(columns):
+                for i, c in col:
+                    assert c != 0
+                    dense[i][k] = Fraction(c, den)
+            assert tuple(map(tuple, dense)) == mat
+
+    @pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+    def test_table_matches_matrix_composition(self, kernel_contexts, name):
+        ctx = kernel_contexts[name]
+        for g in ctx.full_group:
+            for h in ctx.full_group:
+                image = matrix_apply(ctx, g, ctx.images[h])
+                assert image == ctx.images[ctx.compose(g, h)]
+
+    @pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_apply_matches_matrix_oracle(self, kernel_contexts, name, data):
+        ctx = kernel_contexts[name]
+        a = data.draw(field_elements(ctx.field))
+        b = data.draw(field_elements(ctx.field))
+        g = data.draw(st.sampled_from(ctx.full_group))
+        assert ctx.apply(g, a) == matrix_apply(ctx, g, a)
+        assert ctx.apply(g, a * b) == ctx.apply(g, a) * ctx.apply(g, b)

@@ -100,6 +100,32 @@ class TestBuild:
                 assert min_poly_degree(module, mat) == expected
 
 
+def conjugated_diagonal(module, value):
+    """Oracle: V^-1 diag(sigma_j(value)) V as three full matrix products."""
+    ctx = module.lweight.ctx
+    field = ctx.field
+    images = [ctx.apply(h, module.primitive) for h in module.coset_reps]
+    vand = MatrixL(field, [[img ** k for k in range(module.dim)] for img in images])
+    diag = MatrixL.diagonal(field, [ctx.apply(h, value) for h in module.coset_reps])
+    return vand.inverse() * diag * vand
+
+
+class TestVandermondeReuse:
+    @pytest.mark.parametrize("ctx_name", ["cyclo5", "cyclo5_half", "zeta8"])
+    def test_matrices_equal_conjugated_diagonal(self, ctx_name, a1, a2, request):
+        ctx = request.getfixturevalue(ctx_name)
+        rng = random.Random(149)
+        for rs in (a1, a2):
+            for _ in range(3):
+                lw = random_dominant(ctx, rs, rng, max_support=2)
+                module = build_kx_module(lw)
+                for (node, r), value in lw.coefficient_values():
+                    assert module.matrix(node, r) == conjugated_diagonal(module, value)
+                value = module.primitive * module.primitive + 3
+                assert multiplication_matrix(module, value) == \
+                    conjugated_diagonal(module, value)
+
+
 class TestCharPolySplit:
     def test_gaussian(self, qi, iu):
         module = build_kx_module(iu)
@@ -169,6 +195,21 @@ class TestEmbeddingRank:
         p = LWeight.single(zeta8, a1, 0, theta ** 2)
         q = LWeight.single(zeta8, a1, 0, theta - theta ** 3)
         assert tensor_embedding_rank(p, q) == (4, True)
+
+    def test_rejects_non_dominant(self, iu):
+        with pytest.raises(NotDominant):
+            tensor_embedding_rank(iu.inverse(), iu)
+
+    def test_uses_the_module_primitive_and_dim(self, cyclo5, a1):
+        rng = random.Random(151)
+        for _ in range(4):
+            x = random_dominant(cyclo5, a1, rng, max_support=2)
+            y = random_dominant(cyclo5, a1, rng, max_support=2)
+            mx, my = build_kx_module(x), build_kx_module(y)
+            powers = [[(mx.primitive ** j * my.primitive ** k).coords for k in range(my.dim)]
+                      for j in range(mx.dim)]
+            rank, _ = tensor_embedding_rank(x, y)
+            assert rank == frac_rank([list(c) for row in powers for c in row])
 
     @pytest.mark.parametrize("ctx_name", ["qi", "cyclo5_half", "zeta8"])
     def test_rank_equals_compositum_degree(self, ctx_name, request, a1):
