@@ -23,7 +23,7 @@ from .classify import (
     tp_irreducible_criterion,
     wtp_criterion,
 )
-from .errors import LoopRepError
+from .errors import LoopRepError, RootDataInconsistency
 from .exact import (
     FieldElem,
     MatrixL,
@@ -83,6 +83,7 @@ __all__ = [
     "MatrixL",
     "NumberField",
     "PolyQ",
+    "RootDataInconsistency",
     "RootSystem",
     "SmithForm",
     "SpectralCharacter",

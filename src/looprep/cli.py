@@ -84,6 +84,63 @@ def _parse_weight(text, rank):
     return coords
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_rationals(coeffs, what):
+    """A JSON array of rational coefficients: ints or strings like "-3/2"."""
+    if not isinstance(coeffs, list):
+        raise JobError("%s must be an array" % what)
+    for c in coeffs:
+        if not (_is_int(c) or isinstance(c, str)):
+            raise JobError("%s has a non-rational entry %r" % (what, c))
+        try:
+            Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            raise JobError("%s has a non-rational entry %r" % (what, c))
+
+
+def _check_field(field):
+    if not isinstance(field, dict):
+        raise JobError("field must be a JSON object")
+    for key in ("modulus", "automorphisms"):
+        if key not in field:
+            raise JobError("field misses %r" % key)
+    _check_rationals(field["modulus"], "modulus")
+    if not isinstance(field["automorphisms"], list):
+        raise JobError("automorphisms must be an array")
+    for k, image in enumerate(field["automorphisms"]):
+        _check_rationals(image, "automorphism %d" % k)
+    subgroup = field.get("subgroup")
+    if subgroup is not None and not (
+        isinstance(subgroup, list) and all(_is_int(i) for i in subgroup)
+    ):
+        raise JobError("subgroup must be an array of element indices")
+
+
+def _check_lweights(lweights):
+    """Shape of the l-weight records; LWeight checks the node range."""
+    if not isinstance(lweights, dict):
+        raise JobError("lweights must be a JSON object")
+    for name, records in lweights.items():
+        if not isinstance(records, list):
+            raise JobError("l-weight %r must be an array of records" % name)
+        for rec in records:
+            if not isinstance(rec, dict):
+                raise JobError("l-weight %r has a record that is not an object" % name)
+            for key in ("node", "point", "exp"):
+                if key not in rec:
+                    raise JobError("l-weight %r has a record without %r" % (name, key))
+            if not _is_int(rec["node"]):
+                raise JobError("l-weight %r: node %r is not an integer"
+                               % (name, rec["node"]))
+            if not _is_int(rec["exp"]):
+                raise JobError("l-weight %r: exponent %r is not an integer"
+                               % (name, rec["exp"]))
+            _check_rationals(rec["point"], "point of l-weight %r" % name)
+
+
 class Job:
     def __init__(self, data):
         if not isinstance(data, dict):
@@ -91,21 +148,29 @@ class Job:
         for key in ("field", "lieType", "commands"):
             if key not in data:
                 raise JobError("job file misses %r" % key)
+        _check_field(data["field"])
         self.field_json = data["field"]
         self.lie_type = data["lieType"]
         self.lweight_json = data.get("lweights", {})
+        _check_lweights(self.lweight_json)
+        if not isinstance(data["commands"], list):
+            raise JobError("commands must be an array")
         self.commands = [_tokens(c) for c in data["commands"]]
         self.ctx = None
         self.rs = None
         self.lweights = {}
 
     def load(self):
-        """Validate the context and the named l-weights (library errors
-        propagate as validation failures)."""
+        """Validate the context and the named l-weights.  Library errors
+        propagate as validation failures; a node beyond the rank or a zero
+        spectral point makes the job file malformed."""
         self.rs = root_system(self.lie_type)
         self.ctx = context_from_json(self.field_json)
         for name, data in self.lweight_json.items():
-            self.lweights[name] = LWeight.from_json(self.ctx, self.rs, data)
+            try:
+                self.lweights[name] = LWeight.from_json(self.ctx, self.rs, data)
+            except ValueError as exc:
+                raise JobError("l-weight %r: %s" % (name, exc))
 
     def lweight(self, name):
         if name not in self.lweights:
@@ -320,6 +385,9 @@ def run(job_path, json_path=None, quiet=False, max_steps=8, order=8):
 
     try:
         job.load()
+    except JobError as exc:
+        print("error: malformed job file: %s" % exc, file=sys.stderr)
+        return 2
     except LoopRepError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1

@@ -64,6 +64,13 @@ class SearchExhausted(LoopRepError):
     """A bounded search ended without an answer."""
 
 
+class RootDataInconsistency(LoopRepError):
+    """Root-system arithmetic broke an integrality or positivity law: a root
+    length, coroot coefficient, Weyl dimension, weight depth, weight
+    multiplicity or tensor-product multiplicity that must be a (positive)
+    integer is not."""
+
+
 # l-weights and classification
 
 class ContextMismatch(LoopRepError):

@@ -9,9 +9,17 @@ d = 1, which makes the dual coefficients of every positive root integral.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from threading import Lock
 
-from .errors import NotARoot, NotDominant, NotSameClass, SearchExhausted, UnknownType
+from .errors import (
+    NotARoot,
+    NotDominant,
+    NotSameClass,
+    RootDataInconsistency,
+    SearchExhausted,
+    UnknownType,
+)
 from .exact import frac_mat_inverse, smith_normal_form
 
 _E_EDGES = {
@@ -85,7 +93,8 @@ def _root_lengths(cartan):
         raise UnknownType("Dynkin diagram is not connected")
     low = min(d)
     d = [x / low for x in d]
-    assert all(x.denominator == 1 for x in d)
+    if any(x.denominator != 1 for x in d):
+        raise RootDataInconsistency("root lengths %r are not integral" % (d,))
     return tuple(int(x) for x in d)
 
 
@@ -94,7 +103,8 @@ class RootSystem:
 
     __slots__ = (
         "lie_type", "rank", "cartan", "lengths", "positive_roots",
-        "cartan_inv", "snf", "highest_root", "_mult_cache", "_cache_lock",
+        "cartan_inv", "snf", "highest_root", "_height_row", "_height_den",
+        "_mult_cache", "_cache_lock",
     )
 
     def __init__(self, lie_type: str):
@@ -111,6 +121,14 @@ class RootSystem:
         )
         object.__setattr__(self, "snf", smith_normal_form(cartan))
         object.__setattr__(self, "highest_root", self.positive_roots[-1])
+        # height(w) = sum_j _height_row[j] * w[j] / _height_den: the column
+        # sums of the inverse Cartan matrix over their common denominator
+        columns = [sum(row[j] for row in self.cartan_inv) for j in range(rank)]
+        den = lcm(*(c.denominator for c in columns))
+        object.__setattr__(
+            self, "_height_row", tuple(int(c * den) for c in columns)
+        )
+        object.__setattr__(self, "_height_den", den)
         object.__setattr__(self, "_mult_cache", {})
         object.__setattr__(self, "_cache_lock", Lock())
 
@@ -162,17 +180,13 @@ class RootSystem:
             for i in range(self.rank)
         )
 
+    def _height_num(self, weight) -> int:
+        """Numerator of height(weight) over _height_den."""
+        return sum(h * x for h, x in zip(self._height_row, weight))
+
     def height(self, weight) -> Fraction:
         """Sum of simple-root coordinates."""
-        return sum(self.fund_to_root(weight), Fraction(0))
-
-    def _form(self, weight, other):
-        """Killing-normalized pairing (weight, other), both in fundamental coords."""
-        root = self.fund_to_root(other)
-        return sum(
-            (self.lengths[i] * root[i] * weight[i] for i in range(self.rank)),
-            Fraction(0),
-        )
+        return Fraction(self._height_num(weight), self._height_den)
 
     def _form_with_root(self, weight, root):
         """(weight, alpha) with alpha in simple-root coordinates."""
@@ -207,7 +221,10 @@ class RootSystem:
         out = []
         for i in range(self.rank):
             v = Fraction(self.lengths[i]) * root[i] / d_alpha
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise RootDataInconsistency(
+                    "coroot of %r has a non-integral coefficient %s" % (root, v)
+                )
             out.append(int(v))
         return tuple(out)
 
@@ -221,7 +238,10 @@ class RootSystem:
             num = sum(self.lengths[i] * root[i] * (weight[i] + 1) for i in range(self.rank))
             den = sum(self.lengths[i] * root[i] for i in range(self.rank))
             dim *= Fraction(num, den)
-        assert dim.denominator == 1
+        if dim.denominator != 1:
+            raise RootDataInconsistency(
+                "Weyl dimension of %r is not integral: %s" % (weight, dim)
+            )
         return int(dim)
 
     def _all_weights(self, top):
@@ -252,15 +272,18 @@ class RootSystem:
             return dict(cached)
 
         all_weights = self._all_weights(weight)
-        rho = tuple([1] * self.rank)
         lam_rho = tuple(x + 1 for x in weight)
-        top_norm = self._form(lam_rho, lam_rho)
+        top_norm = self._form_with_root(lam_rho, self.fund_to_root(lam_rho))
         roots_fund = [self.root_to_fund(r) for r in self.positive_roots]
+        top_height = self._height_num(weight)
 
         def depth(mu):
-            d = self.height(tuple(a - b for a, b in zip(weight, mu)))
-            assert d.denominator == 1
-            return int(d)
+            d, r = divmod(top_height - self._height_num(mu), self._height_den)
+            if r:
+                raise RootDataInconsistency(
+                    "%r - %r is not in the root lattice" % (weight, mu)
+                )
+            return d
 
         dominants = sorted(
             (mu for mu in all_weights if self.is_dominant(mu)),
@@ -282,9 +305,12 @@ class RootSystem:
                         self._form_with_root(nu, root)
                     k += 1
             mu_rho = tuple(x + 1 for x in mu)
-            denom = top_norm - self._form(mu_rho, mu_rho)
+            denom = top_norm - self._form_with_root(mu_rho, self.fund_to_root(mu_rho))
             val = 2 * acc / denom
-            assert val.denominator == 1 and val > 0
+            if val.denominator != 1 or val <= 0:
+                raise RootDataInconsistency(
+                    "Freudenthal gives multiplicity %s for %r in V(%r)" % (val, mu, weight)
+                )
             mults[mu] = int(val)
 
         full = {mu: mults[self.dominant_representative(mu)] for mu in all_weights}
@@ -297,30 +323,42 @@ class RootSystem:
     def tensor_decompose(self, left, right):
         """Decomposition of V(left) (x) V(right) into highest weights.
 
-        Multiplies the two multiplicity maps and peels the maximal dominant
-        weight (by height, ties broken lexicographically) until exhausted.
-        Returns a list of (dominant weight, multiplicity) in peel order.
+        Brauer-Klimyk (Racah-Speiser) formula: with V(right) the smaller
+        module, every weight nu of V(right) of multiplicity m contributes
+        sign(w) * m copies of V(w(left + nu + rho) - rho), where w carries
+        left + nu + rho into the dominant chamber; weights that land on a
+        wall contribute nothing.  Returns a list of (dominant weight,
+        multiplicity), sorted descending by (height, weight).
         """
+        left, right = tuple(left), tuple(right)
         self._check_dominant(left)
         self._check_dominant(right)
-        product = {}
-        right_mults = self.weight_mults(right)
-        for mu, m in self.weight_mults(left).items():
-            for nu, n in right_mults.items():
-                key = tuple(a + b for a, b in zip(mu, nu))
-                product[key] = product.get(key, 0) + m * n
+        if self.weyl_dim(right) > self.weyl_dim(left):
+            left, right = right, left
+        shift = [x + 1 for x in left]
+        coeffs = {}
+        for nu, m in self.weight_mults(right).items():
+            gamma = tuple(a + b for a, b in zip(shift, nu))
+            # reflect at a negative coordinate until none is left; a zero
+            # coordinate means gamma is fixed by a reflection, so on a wall
+            i = next((k for k, x in enumerate(gamma) if x <= 0), None)
+            while i is not None and gamma[i]:
+                gamma = self.reflect(i, gamma)
+                m = -m
+                i = next((k for k, x in enumerate(gamma) if x <= 0), None)
+            if i is None:
+                top = tuple(x - 1 for x in gamma)
+                coeffs[top] = coeffs.get(top, 0) + m
         parts = []
-        while product:
-            top = max(product, key=lambda w: (self.height(w), w))
-            mult = product[top]
-            assert self.is_dominant(top) and mult > 0
-            parts.append((top, mult))
-            for nu, n in self.weight_mults(top).items():
-                remaining = product.get(nu, 0) - mult * n
-                if remaining:
-                    product[nu] = remaining
-                else:
-                    product.pop(nu, None)
+        for top, mult in coeffs.items():
+            if mult < 0:
+                raise RootDataInconsistency(
+                    "V(%r) has multiplicity %d in V(%r) (x) V(%r)"
+                    % (top, mult, left, right)
+                )
+            if mult:
+                parts.append((top, mult))
+        parts.sort(key=lambda part: (self._height_num(part[0]), part[0]), reverse=True)
         return parts
 
     # -- weight lattice modulo root lattice

@@ -1,9 +1,11 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
+import looprep
 from looprep import (
     LWeight,
     PolyQ,
@@ -61,6 +63,15 @@ def kernel_contexts():
 
 
 KERNEL_CONTEXTS = ("zeta5", "zeta7", "zeta8", "zeta15", "sqrt2_sqrt3")
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """Environment for a child interpreter that imports this looprep."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(looprep.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,8 @@
 import json
+import subprocess
+import sys
+
+import pytest
 
 from looprep import LWeight
 from looprep.cli import main, run
@@ -166,3 +170,77 @@ class TestExitCodes:
     def test_main_entry_point(self, tmp_path):
         job = write_job(tmp_path, ["validate-field"])
         assert main([str(job), "--quiet"]) == 0
+
+
+def _node_zero(job):
+    job["lweights"]["p"][0]["node"] = 0
+
+
+def _node_missing(job):
+    del job["lweights"]["p"][0]["node"]
+
+
+def _modulus_non_numeric(job):
+    job["field"]["modulus"][0] = "x"
+
+
+class TestMalformedRecords:
+    """Job files that once crashed with a traceback exit 2 (malformed)."""
+
+    @pytest.mark.parametrize(
+        "corrupt", [_node_zero, _node_missing, _modulus_non_numeric],
+        ids=["node-zero", "node-missing", "modulus-non-numeric"],
+    )
+    def test_exit_2_without_traceback(self, tmp_path, src_env, corrupt):
+        path = write_job(tmp_path, ["lw-info p"])
+        job = json.loads(path.read_text())
+        corrupt(job)
+        path.write_text(json.dumps(job))
+        out = subprocess.run(
+            [sys.executable, "-m", "looprep.cli", str(path), "--quiet"],
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "malformed job file" in out.stderr
+
+    @pytest.mark.parametrize("record", [
+        {"node": 1, "point": ["0", "1"], "exp": 1.7},
+        {"node": True, "point": ["0", "1"], "exp": 1},
+        {"node": "1", "point": ["0", "1"], "exp": 1},
+        {"node": 2, "point": ["0", "1"], "exp": 1},
+        {"node": 1, "point": ["0", "0"], "exp": 1},
+        {"node": 1, "point": ["0", "a"], "exp": 1},
+        {"node": 1, "point": "0,1", "exp": 1},
+    ], ids=["exp-float", "node-bool", "node-string", "node-above-rank",
+            "point-zero", "point-non-numeric", "point-not-array"])
+    def test_bad_lweight_record(self, tmp_path, capsys, record):
+        job = write_job(tmp_path, ["lw-info p"], lweights={"p": [record]})
+        assert run(str(job), quiet=True) == 2
+        assert "malformed job file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [
+        {"modulus": ["1", "0", "1/0"], "automorphisms": [["0", "1"], ["0", "-1"]]},
+        {"modulus": ["1", "0", "1"], "automorphisms": [["0", "1"], ["0", 1.5]]},
+        {"modulus": ["1", "0", "1"], "automorphisms": [["0", "1"], ["0", "-1"]],
+         "subgroup": ["0", "1"]},
+        ["1", "0", "1"],
+    ], ids=["zero-denominator", "float-coefficient", "subgroup-strings", "not-object"])
+    def test_bad_field(self, tmp_path, capsys, field):
+        job = write_job(tmp_path, ["validate-field"], field=field)
+        assert run(str(job), quiet=True) == 2
+        assert "malformed job file" in capsys.readouterr().err
+
+    def test_commands_not_array(self, tmp_path, capsys):
+        path = write_job(tmp_path, [])
+        job = json.loads(path.read_text())
+        job["commands"] = 5
+        path.write_text(json.dumps(job))
+        assert run(str(path), quiet=True) == 2
+        assert "malformed job file" in capsys.readouterr().err
+
+    def test_integer_coordinates_still_accepted(self, tmp_path):
+        rep = run_json(tmp_path, ["lw-info p"], lweights={
+            "p": [{"node": 1, "point": [0, 1], "exp": 1}],
+        })
+        assert rep["results"][0]["result"]["degree"] == 2

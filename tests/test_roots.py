@@ -1,9 +1,21 @@
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from looprep import root_system
-from looprep.errors import NotARoot, NotDominant, NotSameClass, SearchExhausted, UnknownType
+from looprep import RootSystem, root_system
+from looprep.errors import (
+    LoopRepError,
+    NotARoot,
+    NotDominant,
+    NotSameClass,
+    RootDataInconsistency,
+    SearchExhausted,
+    UnknownType,
+)
 
 
 def char_product(rs, left, right):
@@ -22,6 +34,55 @@ def reconstructed_char(rs, parts):
         for nu, n in rs.weight_mults(weight).items():
             out[nu] = out.get(nu, 0) + mult * n
     return out
+
+
+def peel_decompose(rs, left, right):
+    """Oracle: highest-weight peeling of the character product.
+
+    Repeatedly removes the character of V(top), where top is the maximal
+    weight left by (height, weight); returns (top, mult) in peel order.
+    """
+    product = char_product(rs, left, right)
+    parts = []
+    while product:
+        top = max(product, key=lambda w: (rs.height(w), w))
+        mult = product[top]
+        assert rs.is_dominant(top) and mult > 0
+        parts.append((top, mult))
+        for nu, n in rs.weight_mults(top).items():
+            remaining = product.get(nu, 0) - mult * n
+            if remaining:
+                product[nu] = remaining
+            else:
+                product.pop(nu, None)
+    return parts
+
+
+# bound on the entry sum of each random weight, per type, so that the
+# peeling oracle stays fast
+ORACLE_BUDGETS = {"A1": 6, "A2": 3, "A3": 2, "B2": 3, "B3": 2, "C3": 2, "D4": 1, "G2": 2}
+
+
+@st.composite
+def dominant_pairs(draw):
+    lie_type = draw(st.sampled_from(sorted(ORACLE_BUDGETS)))
+    rs = root_system(lie_type)
+
+    def weight():
+        budget = ORACLE_BUDGETS[lie_type]
+        out = []
+        for _ in range(rs.rank):
+            x = draw(st.integers(0, budget))
+            budget -= x
+            out.append(x)
+        return tuple(out)
+
+    return rs, weight(), weight()
+
+
+# the weights of V(1) in A1 plus a weight -3 of multiplicity 2: with it as
+# the right factor of V(1) (x) V(1), V(0) gets 1 - 2 = -1 copies
+CORRUPT_A1_MULTS = {(1,): 1, (-1,): 1, (-3,): 2}
 
 
 class TestConstruction:
@@ -146,6 +207,60 @@ class TestTensorDecompose:
             total = sum(m * rs.weyl_dim(w) for w, m in parts)
             assert total == rs.weyl_dim(left) * rs.weyl_dim(right)
 
+    @settings(deadline=None, max_examples=60)
+    @given(pair=dominant_pairs())
+    def test_matches_peeling_oracle(self, pair):
+        rs, left, right = pair
+        parts = rs.tensor_decompose(left, right)
+        assert parts == peel_decompose(rs, left, right)
+        assert rs.tensor_decompose(right, left) == parts
+
+    def test_heights_are_integer_numerators(self):
+        for lie_type in ORACLE_BUDGETS:
+            rs = root_system(lie_type)
+            for i in range(rs.rank):
+                e = tuple(int(j == i) for j in range(rs.rank))
+                assert rs.height(e) == sum(rs.fund_to_root(e))
+                assert rs.height(e) * rs._height_den == rs._height_row[i]
+
+    @pytest.mark.parametrize(
+        "lie_type, left, right",
+        [("F4", (1, 0, 0, 0), (0, 0, 0, 1)),
+         ("E6", (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0))],
+    )
+    def test_exceptional_character_oracle(self, lie_type, left, right):
+        rs = root_system(lie_type)
+        parts = rs.tensor_decompose(left, right)
+        assert reconstructed_char(rs, parts) == char_product(rs, left, right)
+        total = sum(m * rs.weyl_dim(w) for w, m in parts)
+        assert total == rs.weyl_dim(left) * rs.weyl_dim(right)
+
+    def test_corrupted_multiplicities_raise(self, monkeypatch):
+        rs = RootSystem("A1")
+        monkeypatch.setattr(
+            RootSystem, "weight_mults", lambda self, weight: dict(CORRUPT_A1_MULTS)
+        )
+        with pytest.raises(RootDataInconsistency):
+            rs.tensor_decompose((1,), (1,))
+        assert issubclass(RootDataInconsistency, LoopRepError)
+
+    def test_corrupted_multiplicities_raise_under_optimize(self, src_env):
+        # the check is real code, not an assert that python -O strips
+        script = (
+            "from looprep import RootSystem, RootDataInconsistency\n"
+            "RootSystem.weight_mults = lambda self, weight: %r\n"
+            "try:\n"
+            "    RootSystem('A1').tensor_decompose((1,), (1,))\n"
+            "except RootDataInconsistency:\n"
+            "    print('raised')\n"
+        ) % (CORRUPT_A1_MULTS,)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
+
 
 class TestPQClass:
     def test_a1(self, a1):
@@ -239,3 +354,38 @@ class TestLinkage:
             lam = tuple(rng.randint(0, 2) for _ in range(2))
             mu = tuple(rng.randint(0, 2) for _ in range(2))
             assert b2.directly_linked(lam, mu) == b2.directly_linked(mu, lam)
+
+    @pytest.mark.parametrize("lie_type", ["A1", "A2", "B2", "G2"])
+    def test_linkage_matches_peeling_oracle(self, lie_type, monkeypatch):
+        rs = RootSystem(lie_type)
+        weights = [w for w in _small_weights(rs.rank, 2)]
+        pairs = [(lam, mu) for lam in weights for mu in weights]
+
+        def outcomes():
+            linked = [rs.directly_linked(lam, mu) for lam, mu in pairs]
+            chains = []
+            for lam, mu in pairs:
+                try:
+                    chains.append(rs.link_chain(lam, mu, max_steps=2))
+                except LoopRepError as exc:
+                    chains.append(type(exc))
+            return linked, chains
+
+        fast = outcomes()
+        monkeypatch.setattr(
+            RootSystem, "tensor_decompose",
+            lambda self, left, right: peel_decompose(self, left, right),
+        )
+        assert outcomes() == fast
+        assert any(fast[0]) and not all(fast[0])
+        assert any(isinstance(c, list) and len(c) > 1 for c in fast[1])
+
+
+def _small_weights(rank, total):
+    """Dominant weights of the given rank with entry sum at most total."""
+    if rank == 0:
+        yield ()
+        return
+    for x in range(total + 1):
+        for rest in _small_weights(rank - 1, total - x):
+            yield (x,) + rest
