@@ -21,9 +21,8 @@ from .classify import (
     dim_weyl_k,
     tensor_decompose_k,
     tp_irreducible_criterion,
-    wtp_criterion,
 )
-from .errors import LoopRepError, RootDataInconsistency
+from .errors import CertificateFailed, LoopRepError, RootDataInconsistency
 from .exact import (
     FieldElem,
     MatrixL,
@@ -73,6 +72,7 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CertificateFailed",
     "Decomposition",
     "FieldElem",
     "GaloisContext",
@@ -126,5 +126,4 @@ __all__ = [
     "tensor_embedding_rank",
     "tp_irreducible_criterion",
     "twist",
-    "wtp_criterion",
 ]

@@ -4,7 +4,7 @@ The character of an l-weight records, at each spectral point, the image of
 the per-node exponent vector in the finite group P/Q; multiplying by any
 root-lattice generator leaves it unchanged.  Two l-weights lie in the same
 block exactly when some element of H carries one character map onto the
-other.
+other, that is, when their characters have the same canonical orbit key.
 """
 
 from __future__ import annotations
@@ -35,6 +35,15 @@ class SpectralCharacter:
         return SpectralCharacter(
             self.ctx, self.rs,
             {self.ctx.apply(g, p): v for p, v in self.entries.items()},
+        )
+
+    def class_key(self):
+        """Canonical H-orbit key: the least sorted (point coords, class) tuple
+        over the H-translates; equal keys exactly mean H-equivalent."""
+        apply = self.ctx.apply
+        return min(
+            tuple(sorted((apply(h, p).coords, v) for p, v in self.entries.items()))
+            for h in self.ctx.subgroup
         )
 
     def __eq__(self, other):
@@ -74,7 +83,7 @@ def equivalent_chars(a: SpectralCharacter, b: SpectralCharacter) -> bool:
     """Whether some h in H carries one character map onto the other."""
     if a.ctx != b.ctx:
         raise ContextMismatch("characters from different contexts")
-    return any(a.translate(h) == b for h in a.ctx.subgroup)
+    return a.class_key() == b.class_key()
 
 
 def same_block(a: LWeight, b: LWeight) -> bool:
@@ -85,6 +94,7 @@ def same_block(a: LWeight, b: LWeight) -> bool:
 def partition_blocks(lweights):
     """Group dominant l-weights into blocks.
 
+    Members are grouped by the class key of their spectral character.
     Groups are returned with members sorted canonically and ordered by their
     least member key, so identical inputs always partition identically.
     """
@@ -92,14 +102,10 @@ def partition_blocks(lweights):
     for lw in items:
         if not lw.is_dominant:
             raise NotDominant("block partition requires dominant l-weights")
-    groups = []
+    groups = {}
     for lw in items:
-        for group in groups:
-            if same_block(group[0], lw):
-                group.append(lw)
-                break
-        else:
-            groups.append([lw])
-    groups = [sorted(g, key=LWeight.sort_key) for g in groups]
+        items[0]._require_compatible(lw)
+        groups.setdefault(spectral_character(lw).class_key(), []).append(lw)
+    groups = [sorted(g, key=LWeight.sort_key) for g in groups.values()]
     groups.sort(key=lambda g: g[0].sort_key())
     return groups

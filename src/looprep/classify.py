@@ -103,9 +103,7 @@ def compositum_degree(a: LWeight, b: LWeight) -> int:
     """
     a._require_compatible(b)
     stab = set(a.stabilizer()).intersection(b.stabilizer())
-    result = len(a.ctx.subgroup) // len(stab)
-    assert (a * b).degree() <= result <= a.degree() * b.degree()
-    return result
+    return len(a.ctx.subgroup) // len(stab)
 
 
 def tp_irreducible_criterion(a: LWeight, b: LWeight) -> bool:
@@ -117,11 +115,6 @@ def tp_irreducible_criterion(a: LWeight, b: LWeight) -> bool:
     if not (a.is_dominant and b.is_dominant):
         raise NotDominant("criterion requires dominant l-weights")
     return a.relatively_prime(b) and (a * b).degree() == a.degree() * b.degree()
-
-
-def wtp_criterion(a: LWeight, b: LWeight) -> bool:
-    """Weyl-module twin of tp_irreducible_criterion (identical predicate)."""
-    return tp_irreducible_criterion(a, b)
 
 
 def _tensor_f_level(a: LWeight, b: LWeight):
@@ -163,7 +156,9 @@ def tensor_decompose_k(a: LWeight, b: LWeight) -> Decomposition:
     Base change is multiplicity-free across each orbit in characteristic
     zero, so the product over K splits over the closure into the tensor
     products of all orbit pairs; those decompose pointwise, and regrouping
-    the constituents into H-orbits descends the multiplicities to K.
+    the constituents into H-orbits descends the multiplicities to K.  Each
+    orbit is classified once and taken out of the F-level multiplicities
+    whole; a member missing from them counts as multiplicity 0.
     """
     a._require_compatible(b)
     if not (a.is_dominant and b.is_dominant):
@@ -176,18 +171,14 @@ def tensor_decompose_k(a: LWeight, b: LWeight) -> Decomposition:
             for lw, m in _tensor_f_level(ap, bp).items():
                 f_mults[lw] = f_mults.get(lw, 0) + m
 
-    by_class = {}
-    for lw, m in f_mults.items():
-        by_class.setdefault(lw.class_key(), {})[lw] = m
-
     parts = []
-    for key in sorted(by_class, key=LWeight.sort_key):
-        member_mults = by_class[key]
-        cls = classify(key)
-        values = {member_mults.get(member, 0) for member in cls.orbit}
+    while f_mults:
+        cls = classify(next(iter(f_mults)))
+        values = {f_mults.pop(member, 0) for member in cls.orbit}
         if len(values) != 1 or 0 in values:
             raise DescentInconsistency(
-                "orbit of %r has non-constant multiplicities %r" % (key, values)
+                "orbit of %r has non-constant multiplicities %r" % (cls.key, values)
             )
         parts.append((cls, values.pop()))
+    parts.sort(key=lambda part: part[0].key.sort_key())
     return Decomposition(parts=tuple(parts))

@@ -22,7 +22,6 @@ from .classify import (
     dim_weyl_k,
     tensor_decompose_k,
     tp_irreducible_criterion,
-    wtp_criterion,
 )
 from .errors import LoopRepError
 from .galois import context_from_json
@@ -32,8 +31,10 @@ from .roots import root_system
 from .series import (
     SymPoly,
     TruncSeries,
+    binom_poly,
     ev_lambda_check,
     h_from_lambda,
+    h_point_symbol,
     h_series,
     h_symbol,
     lambda_alpha_identity_holds,
@@ -218,13 +219,14 @@ def _run_command(job, tokens, defaults):
         a, b = args
         lwa, lwb = job.lweight(a), job.lweight(b)
         decomposition = tensor_decompose_k(lwa, lwb)
+        criterion = tp_irreducible_criterion(lwa, lwb)
         return {
             "left": a,
             "right": b,
             "decomposition": decomposition.to_json(),
             "totalDim": decomposition.total_dim,
-            "irreducibleCriterion": tp_irreducible_criterion(lwa, lwb),
-            "weylCriterion": wtp_criterion(lwa, lwb),
+            "irreducibleCriterion": criterion,
+            "weylCriterion": criterion,
             "compositumDegree": compositum_degree(lwa, lwb),
         }
 
@@ -275,6 +277,8 @@ def _run_command(job, tokens, defaults):
         lie_type, lam_text, mu_text = args
         rs = root_system(lie_type)
         max_steps = int(options.get("max-steps", defaults["max_steps"]))
+        if max_steps < 0:
+            raise JobError("--max-steps must be nonnegative, got %d" % max_steps)
         chain = rs.link_chain(
             _parse_weight(lam_text, rs.rank),
             _parse_weight(mu_text, rs.rank),
@@ -296,6 +300,7 @@ def _series_suite(rs, order):
     """The series invariant suite at one order for one root system."""
     lam = lambda_from_h("a", order)
     recovered = h_from_lambda(lam)
+    binomials = h_series("a", order)
     checks = {
         "roundTrip": all(
             recovered[s - 1] == SymPoly.var(h_symbol("a", s)) for s in range(1, order + 1)
@@ -305,7 +310,10 @@ def _series_suite(rs, order):
         "evaluation": all(
             ev_lambda_check("a", r, Fraction(1)) for r in range(1, min(order, 6) + 1)
         ),
-        "binomialSeries": h_series("a", order) is not None,
+        "binomialSeries": all(
+            binomials.coeffs[k] == binom_poly(h_point_symbol("a"), k)
+            for k in range(order + 1)
+        ),
         "rootFormula": all(
             lambda_alpha_identity_holds(rs, root, order) for root in rs.positive_roots
         ),

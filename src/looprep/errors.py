@@ -89,6 +89,11 @@ class PrimitiveSearchFailed(LoopRepError):
     """The bounded primitive element search was exhausted."""
 
 
+class CertificateFailed(LoopRepError):
+    """A computed certificate of a mathematical claim failed: a K-matrix entry
+    not fixed by H, or an image rank over Q that is not a multiple of [K:Q]."""
+
+
 # series
 
 class BadConstantTerm(LoopRepError):

@@ -237,7 +237,7 @@ class NumberField:
         return FieldElem(self, tuple(cs))
 
     def scalar(self, c) -> "FieldElem":
-        return self.elem([c])
+        return FieldElem(self, (_frac(c),) + (Fraction(0),) * (self.degree - 1))
 
     @property
     def zero(self) -> "FieldElem":

@@ -10,10 +10,9 @@ diagonal eigenvalue action back to the power basis {1, t, ..., t^(d-1)}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
-from .classify import compositum_degree
-from .errors import NotDominant, PrimitiveSearchFailed
+from .errors import CertificateFailed, NotDominant, PrimitiveSearchFailed
 from .exact import MatrixL, char_poly, frac_rank
 from .lweights import LWeight
 
@@ -85,41 +84,23 @@ def _primitive_embedding(lweight: LWeight):
         raise NotDominant("matrix model requires a dominant l-weight")
     ctx = lweight.ctx
     field = ctx.field
-    sub = ctx.subgroup
     values = lweight.coefficient_values()
     stab = lweight.stabilizer()
-    dim = len(sub) // len(stab)
+    dim = len(ctx.subgroup) // len(stab)
 
-    primitive = None
     budget = 10 * dim * dim
-    for weights in _primitive_candidates([v for _, v in values], dim):
-        if budget <= 0:
-            raise PrimitiveSearchFailed(
-                "no primitive element within %d candidates" % (10 * dim * dim)
-            )
-        budget -= 1
+    for weights in islice(_primitive_candidates([v for _, v in values], dim), budget):
         cand = field.zero
         if weights is not None:
             for w, (_, v) in zip(weights, values):
                 if w:
                     cand = cand + w * v
-        if len(ctx.orbit(sub, cand)) == dim:
-            primitive = cand
-            break
-    if primitive is None:
-        raise PrimitiveSearchFailed(
-            "no primitive element within %d candidates" % (10 * dim * dim)
-        )
-
-    reps = []
-    seen = set()
-    for h in sub:
-        img = ctx.apply(h, primitive)
-        if img not in seen:
-            seen.add(img)
-            reps.append(h)
-    assert reps[0] == 0 and len(reps) == dim
-    return values, stab, dim, primitive, tuple(reps)
+        conjugates = {}
+        for h in ctx.subgroup:
+            conjugates.setdefault(ctx.apply(h, cand), h)
+        if len(conjugates) == dim:
+            return values, stab, dim, cand, tuple(conjugates.values())
+    raise PrimitiveSearchFailed("no primitive element within %d candidates" % budget)
 
 
 def build_kx_module(lweight: LWeight) -> KXModule:
@@ -127,7 +108,8 @@ def build_kx_module(lweight: LWeight) -> KXModule:
 
     Raises PrimitiveSearchFailed if no primitive element shows up within
     10 * d^2 spiral candidates (in characteristic zero a generic combination
-    of the coefficient values works).
+    of the coefficient values works), and CertificateFailed if a generator
+    matrix entry is not fixed by H.
     """
     values, stab, dim, primitive, reps = _primitive_embedding(lweight)
     ctx = lweight.ctx
@@ -139,8 +121,8 @@ def build_kx_module(lweight: LWeight) -> KXModule:
         mat = _multiplication_matrix(ctx, reps, embedding, value)
         for row in mat.rows:
             for entry in row:
-                assert all(ctx.apply(h, entry) == entry for h in sub), \
-                    "generator matrix entry not fixed by H"
+                if any(ctx.apply(h, entry) != entry for h in sub):
+                    raise CertificateFailed("generator matrix entry not fixed by H")
         matrices[(node, r)] = mat
 
     return KXModule(
@@ -202,20 +184,12 @@ def char_poly_split_check(module: KXModule, node: int, index: int) -> bool:
 
 
 def iso_test(a: LWeight, b: LWeight) -> bool:
-    """Module isomorphism test: true exactly when the l-weights are conjugate.
-
-    Cross-checked structurally: equal dimensions plus an intertwiner given by
-    some h in H matching the coefficient tuples.
-    """
+    """Module isomorphism test: true exactly when the l-weights are conjugate,
+    that is, when their canonical orbit keys are equal."""
     if not (a.is_dominant and b.is_dominant):
         raise NotDominant("isomorphism test requires dominant l-weights")
     a._require_compatible(b)
-    by_key = a.class_key() == b.class_key()
-    structural = a.degree() == b.degree() and any(
-        a.conjugate(h) == b for h in a.ctx.subgroup
-    )
-    assert by_key == structural
-    return by_key
+    return a.class_key() == b.class_key()
 
 
 def tensor_embedding_rank(a: LWeight, b: LWeight):
@@ -223,7 +197,8 @@ def tensor_embedding_rank(a: LWeight, b: LWeight):
 
     Returns (rank, injective); the map is injective exactly when the degree
     equation deg(a) * deg(b) = [K(a,b):K] holds, and its image is always the
-    compositum.
+    compositum.  Raises CertificateFailed if the rational rank of the image
+    is not a multiple of [K:Q].
     """
     _, _, dim_a, prim_a, _ = _primitive_embedding(a)
     _, _, dim_b, prim_b, _ = _primitive_embedding(b)
@@ -238,7 +213,9 @@ def tensor_embedding_rank(a: LWeight, b: LWeight):
             for kappa in k_basis:
                 rows.append(list((kappa * product).coords))
     q_rank = frac_rank(rows)
-    assert q_rank % k_deg == 0
+    if q_rank % k_deg:
+        raise CertificateFailed(
+            "image rank %d over Q is not a multiple of [K:Q] = %d" % (q_rank, k_deg)
+        )
     rank = q_rank // k_deg
-    assert rank == compositum_degree(a, b)
     return rank, rank == dim_a * dim_b

@@ -420,7 +420,4 @@ def series_inverse(series: TruncSeries) -> TruncSeries:
 
 def h_series(alpha, order: int) -> TruncSeries:
     """The binomial series sum_k binom(h[alpha], k) u^k via evaluation at -1."""
-    out = eval_at(lambda_from_h(alpha, order), Fraction(-1))
-    for k in range(order + 1):
-        assert out.coeffs[k] == binom_poly(h_point_symbol(alpha), k)
-    return out
+    return eval_at(lambda_from_h(alpha, order), Fraction(-1))

@@ -11,7 +11,6 @@ from looprep import (
     dim_weyl_k,
     tensor_decompose_k,
     tp_irreducible_criterion,
-    wtp_criterion,
 )
 from looprep.errors import NotDominant, UnsupportedType
 
@@ -169,10 +168,6 @@ class TestCriterion:
     def test_rational_factor(self, qi, a1, iu):
         rational = LWeight.single(qi, a1, 0, qi.field.scalar(3))
         assert tp_irreducible_criterion(rational, iu) is True
-
-    def test_weyl_twin_is_same_predicate(self, iu, two_iu, iu_conj):
-        for pair in ((iu, two_iu), (iu, iu_conj)):
-            assert wtp_criterion(*pair) == tp_irreducible_criterion(*pair)
 
     def test_criterion_implies_single_class(self, cyclo5, a1):
         rng = random.Random(113)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from looprep import LWeight
+from looprep import LWeight, cli, lambda_from_h, tp_irreducible_criterion
 from looprep.cli import main, run
 
 
@@ -95,6 +95,29 @@ class TestCommands:
         assert result["allPassed"] is True
         assert result["order"] == 4
 
+    def test_weyl_criterion_is_the_irreducible_criterion(self, tmp_path, qi, a1):
+        pairs = [("p", "q"), ("p", "pc"), ("p", "one")]
+        rep = run_json(tmp_path, ["tensor %s %s" % pair for pair in pairs])
+        i = qi.field.gen
+        library = {"p": LWeight.single(qi, a1, 0, i), "q": LWeight.single(qi, a1, 0, 2 * i),
+                   "pc": LWeight.single(qi, a1, 0, -i), "one": LWeight.identity(qi, a1)}
+        for (left, right), record in zip(pairs, rep["results"]):
+            result = record["result"]
+            expected = tp_irreducible_criterion(library[left], library[right])
+            assert result["irreducibleCriterion"] is expected
+            assert result["weylCriterion"] is expected
+
+    def test_binomial_series_is_computed(self, tmp_path, monkeypatch):
+        # binomialSeries compares every coefficient with binom_poly, so a wrong
+        # series reads false instead of passing as "not None"
+        rep = run_json(tmp_path, ["series-check --order 3"])
+        assert rep["results"][0]["result"]["checks"]["binomialSeries"] is True
+        monkeypatch.setattr(cli, "h_series", lambda alpha, order: lambda_from_h(alpha, order))
+        rep = run_json(tmp_path, ["series-check --order 3"])
+        result = rep["results"][0]["result"]
+        assert result["checks"]["binomialSeries"] is False
+        assert result["allPassed"] is False
+
     def test_rational_split_and_dual(self, tmp_path):
         rep = run_json(tmp_path, ["rational-split p", "dual p"])
         split = rep["results"][0]["result"]
@@ -170,6 +193,20 @@ class TestExitCodes:
     def test_main_entry_point(self, tmp_path):
         job = write_job(tmp_path, ["validate-field"])
         assert main([str(job), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("command, flags", [
+        ("link-chain A1 4 0 --max-steps -1", []),
+        ("link-chain A1 4 0", ["--max-steps", "-5"]),
+    ], ids=["inline", "global"])
+    def test_negative_max_steps_is_malformed(self, tmp_path, src_env, command, flags):
+        job = write_job(tmp_path, [command])
+        out = subprocess.run(
+            [sys.executable, "-m", "looprep.cli", str(job), "--quiet"] + flags,
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "max-steps" in out.stderr
 
 
 def _node_zero(job):

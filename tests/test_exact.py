@@ -236,6 +236,18 @@ class TestKernels:
 
     @pytest.mark.parametrize("name", KERNEL_CONTEXTS)
     @settings(deadline=None)
+    @given(c=st.fractions(max_denominator=1000))
+    def test_scalar_matches_reduced_constant(self, kernel_contexts, name, c):
+        field = kernel_contexts[name].field
+        expected = field.from_poly(PolyQ([c]))
+        assert field.scalar(c) == expected
+        assert field.scalar(c).coords == expected.coords
+        assert all(type(x) is Fraction for x in field.scalar(c).coords)
+        assert field.zero == field.from_poly(PolyQ([]))
+        assert field.one == field.from_poly(PolyQ([1]))
+
+    @pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+    @settings(deadline=None)
     @given(data=st.data())
     def test_product_matches_poly_oracle(self, kernel_contexts, name, data):
         field = kernel_contexts[name].field

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,8 @@ from looprep import (
     multiplication_matrix,
     tensor_embedding_rank,
 )
-from looprep.errors import NotDominant
+from looprep import kxmodules
+from looprep.errors import CertificateFailed, LoopRepError, NotDominant
 from looprep.exact import MatrixL, frac_rank
 
 from conftest import random_dominant
@@ -221,3 +224,45 @@ class TestEmbeddingRank:
             rank, injective = tensor_embedding_rank(x, y)
             assert rank == compositum_degree(x, y)
             assert injective == (rank == x.degree() * y.degree())
+
+
+def _non_fixed_matrix(ctx, reps, embedding, value):
+    """A 1 x 1 "generator matrix" whose entry theta no nontrivial h fixes."""
+    return MatrixL(ctx.field, [[ctx.field.gen]])
+
+
+class TestCertificates:
+    """The H-fixedness and rank certificates are real code, not asserts."""
+
+    def test_non_fixed_matrix_raises(self, iu, monkeypatch):
+        monkeypatch.setattr(kxmodules, "_multiplication_matrix", _non_fixed_matrix)
+        with pytest.raises(CertificateFailed):
+            build_kx_module(iu)
+        assert issubclass(CertificateFailed, LoopRepError)
+
+    def test_non_fixed_matrix_raises_under_optimize(self, src_env):
+        script = (
+            "from looprep import CertificateFailed, LWeight, build_kx_module, kxmodules\n"
+            "from looprep import gaussian_context, root_system\n"
+            "from looprep.exact import MatrixL\n"
+            "kxmodules._multiplication_matrix = (\n"
+            "    lambda ctx, reps, embedding, value: MatrixL(ctx.field, [[ctx.field.gen]]))\n"
+            "ctx = gaussian_context()\n"
+            "try:\n"
+            "    build_kx_module(LWeight.single(ctx, root_system('A1'), 0, ctx.field.gen))\n"
+            "except CertificateFailed:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
+
+    def test_rank_not_multiple_of_k_degree_raises(self, cyclo5_half, a1, monkeypatch):
+        # [K:Q] = 2 here, so an odd rational rank cannot come from a K-span
+        lw = LWeight.single(cyclo5_half, a1, 0, cyclo5_half.field.gen)
+        monkeypatch.setattr(kxmodules, "frac_rank", lambda rows: 3)
+        with pytest.raises(CertificateFailed):
+            tensor_embedding_rank(lw, lw)
