@@ -44,6 +44,13 @@ from .series import (
 
 SCHEMA_VERSION = 1
 
+# Upper bounds on the work a command may ask for: a larger --max-steps or
+# --order makes the job malformed.  The link-chain search grows like
+# steps^rank (16 steps in E8 take seconds) and the series suite steeply with
+# the order (order 14 in B3 takes over half a minute).
+MAX_STEPS = 16
+MAX_ORDER = 12
+
 
 class JobError(Exception):
     """Malformed job file (exit code 2)."""
@@ -277,8 +284,8 @@ def _run_command(job, tokens, defaults):
         lie_type, lam_text, mu_text = args
         rs = root_system(lie_type)
         max_steps = int(options.get("max-steps", defaults["max_steps"]))
-        if max_steps < 0:
-            raise JobError("--max-steps must be nonnegative, got %d" % max_steps)
+        if not 0 <= max_steps <= MAX_STEPS:
+            raise JobError("--max-steps must be in 0..%d, got %d" % (MAX_STEPS, max_steps))
         chain = rs.link_chain(
             _parse_weight(lam_text, rs.rank),
             _parse_weight(mu_text, rs.rank),
@@ -288,6 +295,8 @@ def _run_command(job, tokens, defaults):
 
     if cmd == "series-check":
         order = int(options.get("order", defaults["order"]))
+        if order > MAX_ORDER:
+            raise JobError("--order must be at most %d, got %d" % (MAX_ORDER, order))
         rs = root_system(options.get("type", job.rs.lie_type))
         checks = _series_suite(rs, order)
         return {"type": rs.lie_type, "order": order,

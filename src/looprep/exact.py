@@ -6,19 +6,22 @@ polynomials over Q, number field elements Q[theta]/(m), dense matrices over a
 number field, rational linear algebra helpers, and the integer Smith normal
 form.  Everything is immutable after construction and all operations are pure.
 
-Number field products and matrix dot products run on integer numerators over
-one common denominator: the operands' numerators are convolved, the terms of
-degree >= n are folded back with a precomputed integer table of
-theta^n, ..., theta^(2n-2) mod m, and canonical Fraction coordinates are built
-once per result coordinate.  FieldElem.coords stays a canonical Fraction
-tuple, so hashes, sort keys and serialized forms do not depend on this.
+A number field element is stored in one canonical integer form: a tuple of
+integer numerators over a positive denominator whose gcd with all numerators
+is 1 (Cohen, A Course in Computational Algebraic Number Theory, 4.2).
+Equality, hashing, sums, differences, rational scaling, products and matrix
+dot products all run on that form.  A product convolves the operands'
+numerators, folds the terms of degree >= n back with a precomputed integer
+table of theta^n, ..., theta^(2n-2) mod m, and reduces by one gcd.
+FieldElem.coords, the canonical Fraction tuple, is derived from the form and
+built only for sort keys, serialized forms and polynomial views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import Singular, ZeroDivisor
@@ -219,10 +222,14 @@ class NumberField:
 
     def from_numerators(self, nums, den: int) -> "FieldElem":
         """The element with coordinates nums[i] / den (den a positive int)."""
-        return FieldElem(self, tuple(Fraction(x, den) for x in nums))
+        g = gcd(den, *nums)
+        if g != 1:
+            return _elem(self, tuple(x // g for x in nums), den // g)
+        return _elem(self, tuple(nums), den)
 
     def __eq__(self, other):
-        return isinstance(other, NumberField) and self.modulus == other.modulus
+        return self is other or (
+            isinstance(other, NumberField) and self.modulus == other.modulus)
 
     def __hash__(self):
         return hash(self.modulus)
@@ -233,11 +240,12 @@ class NumberField:
 
     def from_poly(self, p: PolyQ) -> "FieldElem":
         r = p % self.modulus
-        cs = list(r.coeffs) + [Fraction(0)] * (self.degree - len(r.coeffs))
-        return FieldElem(self, tuple(cs))
+        return FieldElem(self, r.coeffs + (Fraction(0),) * (self.degree - len(r.coeffs)))
 
     def scalar(self, c) -> "FieldElem":
-        return FieldElem(self, (_frac(c),) + (Fraction(0),) * (self.degree - 1))
+        if type(c) is not int:
+            c = _frac(c)
+        return _elem(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
 
     @property
     def zero(self) -> "FieldElem":
@@ -259,25 +267,42 @@ class NumberField:
 class FieldElem:
     """An element of a NumberField, as a coordinate vector in powers of theta.
 
-    Canonical form: exactly field.degree Fraction coordinates.  Hashable, so
-    elements can key dictionaries and sets; the coords tuple doubles as the
-    deterministic sort key.
+    Canonical integer form: coordinate i is nums[i] / den, with exactly
+    field.degree integer numerators, den > 0 and gcd(den, *nums) = 1, so equal
+    elements have equal forms.  Hashable, so elements can key dictionaries
+    and sets; coords, the Fraction coordinate tuple built once on first use,
+    is the deterministic sort key.
     """
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "nums", "den", "_coords")
 
-    def __init__(self, field: NumberField, coords: tuple):
+    def __init__(self, field: NumberField, coords):
+        """The element with the given rational coordinates."""
         if len(coords) != field.degree:
             raise ValueError("coordinate length must equal the field degree")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", coords)
+        coords = [_frac(c) for c in coords]
+        den = lcm(*(c.denominator for c in coords))
+        _set(self, "field", field)
+        _set(self, "nums", tuple(c.numerator * (den // c.denominator) for c in coords))
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElem is immutable")
 
+    @property
+    def coords(self) -> tuple:
+        """The canonical Fraction coordinates nums[i] / den."""
+        try:
+            return self._coords
+        except AttributeError:
+            den = self.den
+            coords = tuple(Fraction(x, den) for x in self.nums)
+            _set(self, "_coords", coords)
+            return coords
+
     def _coerce(self, other):
         if isinstance(other, FieldElem):
-            if other.field.modulus != self.field.modulus:
+            if other.field is not self.field and other.field.modulus != self.field.modulus:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -285,43 +310,45 @@ class FieldElem:
         return None
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.scalar(other)
         return (
             isinstance(other, FieldElem)
-            and self.field.modulus == other.field.modulus
-            and self.coords == other.coords
+            and self.den == other.den
+            and self.nums == other.nums
+            and (self.field is other.field or self.field.modulus == other.field.modulus)
         )
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.nums, self.den))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return _combine(self, o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem(self.field, tuple(-a for a in self.coords))
+        return _elem(self.field, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return _combine(self, o, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldElem(self.field, tuple(a * other for a in self.coords))
+            p, q = other.numerator, other.denominator
+            return self.field.from_numerators([x * p for x in self.nums], self.den * q)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -371,24 +398,45 @@ class FieldElem:
 
         den is the least common denominator of the coordinates.
         """
-        den = lcm(*(c.denominator for c in self.coords))
-        return tuple(
-            (i, c.numerator * (den // c.denominator))
-            for i, c in enumerate(self.coords) if c
-        ), den
+        return tuple((i, x) for i, x in enumerate(self.nums) if x), self.den
 
     def as_poly(self) -> PolyQ:
         return PolyQ(self.coords)
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.nums[1:])
 
     def to_json(self):
         return [str(c) for c in self.coords]
 
     def __repr__(self):
         return "FieldElem(%s)" % ", ".join(str(c) for c in self.coords)
+
+
+_set = object.__setattr__
+
+
+def _elem(field: NumberField, nums: tuple, den: int) -> FieldElem:
+    """A FieldElem from a form that is already canonical."""
+    e = object.__new__(FieldElem)
+    _set(e, "field", field)
+    _set(e, "nums", nums)
+    _set(e, "den", den)
+    return e
+
+
+def _combine(a: FieldElem, b: FieldElem, sign: int) -> FieldElem:
+    """a + sign * b on the integer forms, for sign in {1, -1}."""
+    da, db = a.den, b.den
+    if da == db:
+        nums = [x + sign * y for x, y in zip(a.nums, b.nums)]
+    else:
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        nums = [x * sa + y * sb for x, y in zip(a.nums, b.nums)]
+        da = den
+    return a.field.from_numerators(nums, da)
 
 
 class MatrixL:
@@ -403,7 +451,8 @@ class MatrixL:
             if len(r) != width:
                 raise ValueError("ragged matrix")
             for e in r:
-                if not isinstance(e, FieldElem) or e.field.modulus != field.modulus:
+                if not isinstance(e, FieldElem) or (
+                        e.field is not field and e.field.modulus != field.modulus):
                     raise ValueError("entries must live in the given field")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
@@ -546,7 +595,10 @@ def char_poly(m: MatrixL):
         mk = m * mk
         c = mk.trace() * Fraction(-1, k)
         coeffs[n - k] = c
-        mk = mk + MatrixL.diagonal(field, [c] * n)
+        rows = [list(r) for r in mk.rows]
+        for i in range(n):
+            rows[i][i] = rows[i][i] + c
+        mk = MatrixL(field, rows)
     return coeffs
 
 

@@ -34,13 +34,16 @@ class GaloisContext:
     ``table[g][h]`` is the index of the composition g o h (apply h first).
     ``aut_columns[g]`` is (columns, den): columns[k] lists the nonzero
     (i, c) with g(theta)^k = sum(c * theta^i) / den, the integer form of
-    column k of ``aut_matrices[g]``.
+    column k of ``aut_matrices[g]``.  ``k_basis`` is a Q-basis of the fixed
+    field K of H, and ``subgroup_generators`` a set of elements of H that
+    generates H (empty when H is trivial).
     """
 
     __slots__ = ("field", "images", "aut_matrices", "aut_columns", "table",
-                 "inverses", "subgroup")
+                 "inverses", "subgroup", "k_basis", "subgroup_generators")
 
-    def __init__(self, field, images, aut_matrices, aut_columns, table, inverses, subgroup):
+    def __init__(self, field, images, aut_matrices, aut_columns, table, inverses, subgroup,
+                 k_basis, subgroup_generators):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "aut_matrices", aut_matrices)
@@ -48,6 +51,8 @@ class GaloisContext:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "inverses", inverses)
         object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "k_basis", k_basis)
+        object.__setattr__(self, "subgroup_generators", subgroup_generators)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaloisContext is immutable")
@@ -68,7 +73,7 @@ class GaloisContext:
         return self.order // len(self.subgroup)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, GaloisContext)
             and self.field == other.field
             and self.images == other.images
@@ -107,15 +112,7 @@ class GaloisContext:
 
     def fixed_space_basis(self, subgroup):
         """Field elements forming a Q-basis of {v : g(v) = v for g in S}."""
-        n = self.field.degree
-        rows = []
-        for g in subgroup:
-            mat = self.aut_matrices[g]
-            for i in range(n):
-                rows.append([mat[i][k] - Fraction(int(i == k)) for k in range(n)])
-        if not rows:
-            rows = [[Fraction(0)] * n]
-        return tuple(FieldElem(self.field, vec) for vec in frac_kernel_basis(rows))
+        return _fixed_space_basis(self.field, self.aut_matrices, subgroup)
 
     # -- serialization
 
@@ -199,12 +196,44 @@ def build_context(modulus, aut_images, subgroup=None) -> GaloisContext:
             if table[g][h] not in sub_set:
                 raise BadSubgroup("subgroup is not closed under composition")
 
-    ctx = GaloisContext(field, images, aut_matrices, aut_columns, table, inverses, subgroup)
-    if ctx.fixed_space_dim(ctx.full_group) != 1:
+    if len(_fixed_space_basis(field, aut_matrices, range(n))) != 1:
         raise FixedFieldTooBig("fixed space of the full group has dimension > 1")
-    if ctx.fixed_space_dim(subgroup) != n // len(subgroup):
+    k_basis = _fixed_space_basis(field, aut_matrices, subgroup)
+    if len(k_basis) != n // len(subgroup):
         raise FixedFieldTooBig("fixed space of H has dimension != |G|/|H|")
-    return ctx
+    return GaloisContext(field, images, aut_matrices, aut_columns, table, inverses, subgroup,
+                         k_basis, _generators(table, subgroup))
+
+
+def _fixed_space_basis(field, aut_matrices, subgroup):
+    """Field elements forming a Q-basis of {v : g(v) = v for g in subgroup}."""
+    n = field.degree
+    rows = []
+    for g in subgroup:
+        mat = aut_matrices[g]
+        for i in range(n):
+            rows.append([mat[i][k] - Fraction(int(i == k)) for k in range(n)])
+    if not rows:
+        rows = [[Fraction(0)] * n]
+    return tuple(FieldElem(field, vec) for vec in frac_kernel_basis(rows))
+
+
+def _generators(table, subgroup):
+    """Elements of the subgroup that generate it, picked greedily in order:
+    each is the least element outside the span of those before it."""
+    gens, span = [], {0}
+    for h in subgroup:
+        if h not in span:
+            gens.append(h)
+            span, frontier = {0}, [0]
+            while frontier:
+                x = frontier.pop()
+                for g in gens:
+                    y = table[g][x]
+                    if y not in span:
+                        span.add(y)
+                        frontier.append(y)
+    return tuple(gens)
 
 
 def _act(field, aut_columns, a: FieldElem) -> FieldElem:

@@ -3,17 +3,22 @@
 For a dominant l-weight the commuting generator actions on the irreducible
 module over K are realized as explicit matrices over K (stored over L with an
 H-fixedness certificate): pick a primitive element t for the fixed field of
-the stabilizer, embed via the coset representatives, and conjugate the
-diagonal eigenvalue action back to the power basis {1, t, ..., t^(d-1)}.
+the stabilizer, with conjugates t_j = sigma_j(t) under the coset
+representatives, and write each generator eigenvalue s as p(t), where p
+interpolates the points (t_j, sigma_j(s)) through the Lagrange basis of the
+minimal polynomial P(u) = prod_j (u - t_j) over K.  Column k of the matrix
+on the power basis {1, t, ..., t^(d-1)} holds the coefficients of
+u^k p(u) mod P.  This takes O(d^2) field products per generator and one
+field inversion per module, since P'(t_j) = sigma_j(P'(t)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from itertools import combinations_with_replacement, islice
 
 from .errors import CertificateFailed, NotDominant, PrimitiveSearchFailed
-from .exact import MatrixL, char_poly, frac_rank
+from .exact import MatrixL, _dot, char_poly, frac_rank
 from .lweights import LWeight
 
 
@@ -23,7 +28,9 @@ class KXModule:
 
     generator_matrices maps (node, power index r) to the d x d matrix of the
     r-th generator in the power basis of the primitive element; every entry
-    is fixed by H and the matrices commute pairwise.
+    is fixed by H and the matrices commute pairwise.  interpolation holds the
+    minimal polynomial of the primitive and its Lagrange basis
+    (_interpolation), from which multiplication_matrix builds any matrix.
     """
 
     lweight: LWeight
@@ -32,6 +39,7 @@ class KXModule:
     dim: int
     coset_reps: tuple
     generator_matrices: dict
+    interpolation: tuple = _field(repr=False, compare=False)
 
     def matrix(self, node: int, index: int) -> MatrixL:
         return self.generator_matrices[(node, index)]
@@ -49,7 +57,7 @@ class KXModule:
         }
 
 
-def _primitive_candidates(values, dim):
+def _primitive_candidates(values):
     """Deterministic spiral over small nonnegative integer combinations.
 
     Yields sum(c_k * values[k]) for weight vectors c ordered by total weight,
@@ -89,7 +97,7 @@ def _primitive_embedding(lweight: LWeight):
     dim = len(ctx.subgroup) // len(stab)
 
     budget = 10 * dim * dim
-    for weights in islice(_primitive_candidates([v for _, v in values], dim), budget):
+    for weights in islice(_primitive_candidates([v for _, v in values]), budget):
         cand = field.zero
         if weights is not None:
             for w, (_, v) in zip(weights, values):
@@ -113,15 +121,15 @@ def build_kx_module(lweight: LWeight) -> KXModule:
     """
     values, stab, dim, primitive, reps = _primitive_embedding(lweight)
     ctx = lweight.ctx
-    sub = ctx.subgroup
-    embedding = _vandermonde(ctx, reps, primitive)
+    gens = ctx.subgroup_generators
+    embedding = _interpolation(ctx, reps, primitive)
 
     matrices = {}
     for (node, r), value in values:
         mat = _multiplication_matrix(ctx, reps, embedding, value)
         for row in mat.rows:
             for entry in row:
-                if any(ctx.apply(h, entry) != entry for h in sub):
+                if any(ctx.apply(h, entry) != entry for h in gens):
                     raise CertificateFailed("generator matrix entry not fixed by H")
         matrices[(node, r)] = mat
 
@@ -132,33 +140,64 @@ def build_kx_module(lweight: LWeight) -> KXModule:
         dim=dim,
         coset_reps=reps,
         generator_matrices=matrices,
+        interpolation=embedding,
     )
 
 
-def _vandermonde(ctx, reps, primitive):
-    """(V, V^-1) with V[j][k] = sigma_j(t)^k, embedding the power basis of t."""
+def _interpolation(ctx, reps, primitive):
+    """(low, basis) for the conjugates t_j = sigma_j(t) of the primitive.
+
+    low holds the coefficients of u^0 .. u^(d-1) of the monic minimal
+    polynomial P(u) = prod_j (u - t_j), and basis[i] holds, as terms() in j,
+    the coefficients of u^i of the Lagrange polynomials
+    P(u) / ((u - t_j) P'(t_j)).  P' has coefficients in K, so
+    1 / P'(t_j) = sigma_j(1 / P'(t)): one inversion in all.
+    """
+    field = ctx.field
     images = [ctx.apply(h, primitive) for h in reps]
-    vand = MatrixL(ctx.field, [[img ** k for k in range(len(reps))] for img in images])
-    return vand, vand.inverse()
+    poly = [field.one]
+    for t in images:
+        poly = ([-(t * poly[0])] + [poly[k - 1] - t * poly[k] for k in range(1, len(poly))]
+                + [poly[-1]])
+    slope = field.zero
+    for k in range(len(poly) - 1, 0, -1):
+        slope = slope * primitive + k * poly[k]
+    inv = slope.inverse()
+    lagrange = []
+    for h, t in zip(reps, images):
+        quotient = [field.one]
+        for k in range(len(poly) - 2, 0, -1):
+            quotient.append(poly[k] + t * quotient[-1])
+        scale = ctx.apply(h, inv)
+        lagrange.append([(scale * c).terms() for c in reversed(quotient)])
+    return poly[:-1], list(zip(*lagrange))
 
 
 def _multiplication_matrix(ctx, reps, embedding, value) -> MatrixL:
     """Matrix of multiplication by value on the power basis of the primitive.
 
-    Multiplication acts diagonally on the embedded basis, so the matrix is
-    V^-1 diag(sigma_j(value)) V; the diagonal is applied as a row scaling.
+    value = p(t) for the interpolant p through (t_j, sigma_j(value)), whose
+    coefficients are dot products with the Lagrange basis; column k + 1 is
+    u times column k reduced mod P (a companion step).
     """
-    vand, vand_inv = embedding
-    scaled = [[ctx.apply(h, value) * e for e in row] for h, row in zip(reps, vand.rows)]
-    return vand_inv * MatrixL(ctx.field, scaled)
+    field = ctx.field
+    low, basis = embedding
+    images = [ctx.apply(h, value).terms() for h in reps]
+    column = [_dot(images, b, field) for b in basis]
+    columns = [column]
+    for _ in range(len(low) - 1):
+        top = column[-1]
+        column = [field.zero] + column[:-1]
+        if top:
+            column = [c - top * m for c, m in zip(column, low)]
+        columns.append(column)
+    return MatrixL(field, zip(*columns))
 
 
 def multiplication_matrix(module: KXModule, value) -> MatrixL:
     """Matrix of multiplication by any element of K(omega) on the power basis."""
-    ctx = module.lweight.ctx
-    reps = module.coset_reps
     return _multiplication_matrix(
-        ctx, reps, _vandermonde(ctx, reps, module.primitive), value
+        module.lweight.ctx, module.coset_reps, module.interpolation, value
     )
 
 
@@ -203,7 +242,7 @@ def tensor_embedding_rank(a: LWeight, b: LWeight):
     _, _, dim_a, prim_a, _ = _primitive_embedding(a)
     _, _, dim_b, prim_b, _ = _primitive_embedding(b)
     ctx = a.ctx
-    k_basis = ctx.fixed_space_basis(ctx.subgroup)
+    k_basis = ctx.k_basis
     k_deg = len(k_basis)
 
     rows = []
@@ -211,7 +250,7 @@ def tensor_embedding_rank(a: LWeight, b: LWeight):
         for k in range(dim_b):
             product = (prim_a ** j) * (prim_b ** k)
             for kappa in k_basis:
-                rows.append(list((kappa * product).coords))
+                rows.append((kappa * product).nums)
     q_rank = frac_rank(rows)
     if q_rank % k_deg:
         raise CertificateFailed(

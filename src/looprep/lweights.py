@@ -97,7 +97,7 @@ class LWeight:
         )
 
     def __hash__(self):
-        return hash(self.sort_key())
+        return hash(frozenset(self.factors.items()))
 
     def points(self):
         """Sorted global support: every point carrying a factor at some node."""
@@ -155,11 +155,8 @@ class LWeight:
 
     def conjugacy_class(self):
         """(orbit under H sorted by key, degree = orbit size)."""
-        orbit = {}
-        for h in self.ctx.subgroup:
-            c = self.conjugate(h)
-            orbit[c.sort_key()] = c
-        members = tuple(orbit[k] for k in sorted(orbit))
+        orbit = {self.conjugate(h) for h in self.ctx.subgroup}
+        members = tuple(sorted(orbit, key=LWeight.sort_key))
         return members, len(members)
 
     def degree(self) -> int:

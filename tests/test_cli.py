@@ -208,6 +208,28 @@ class TestExitCodes:
         assert "Traceback" not in out.stderr
         assert "max-steps" in out.stderr
 
+    @pytest.mark.parametrize("command, flags, option", [
+        ("link-chain A1 4 0 --max-steps 17", [], "max-steps"),
+        ("link-chain A1 4 0", ["--max-steps", "17"], "max-steps"),
+        ("series-check --order 13 --type A1", [], "order"),
+        ("series-check --type A1", ["--order", "13"], "order"),
+    ], ids=["max-steps-inline", "max-steps-global", "order-inline", "order-global"])
+    def test_work_above_the_bound_is_malformed(self, tmp_path, src_env, command, flags,
+                                               option):
+        job = write_job(tmp_path, [command])
+        out = subprocess.run(
+            [sys.executable, "-m", "looprep.cli", str(job), "--quiet"] + flags,
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert option in out.stderr
+
+    def test_bounds_cover_the_documented_values(self, tmp_path):
+        assert cli.MAX_STEPS >= 8 and cli.MAX_ORDER >= 10
+        rep = run_json(tmp_path, ["link-chain A1 4 0 --max-steps %d" % cli.MAX_STEPS])
+        assert rep["results"][0]["result"]["chain"] == [[0], [2], [4]]
+
 
 def _node_zero(job):
     job["lweights"]["p"][0]["node"] = 0

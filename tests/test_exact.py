@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from conftest import KERNEL_CONTEXTS, field_elements
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looprep import (
+    FieldElem,
     MatrixL,
     NumberField,
     PolyQ,
@@ -265,3 +267,75 @@ class TestKernels:
         x = data.draw(matrices(field, n, m))
         y = data.draw(matrices(field, m, p))
         assert x * y == naive_matrix_product(x, y)
+
+
+# --- the canonical integer form against Fraction-coordinate oracles -----------
+
+def assert_canonical(a):
+    """den > 0, no common factor left, and coords derived from the form."""
+    assert len(a.nums) == a.field.degree
+    assert a.den > 0 and gcd(a.den, *a.nums) == 1
+    assert a.coords == tuple(Fraction(x, a.den) for x in a.nums)
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+class TestIntegerForm:
+    @pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_results_are_canonical(self, kernel_contexts, name, data):
+        field = kernel_contexts[name].field
+        a = data.draw(field_elements(field))
+        b = data.draw(field_elements(field))
+        c = data.draw(rationals)
+        for x in (a, b, a + b, a - b, -a, a * c, c * a, a * b, field.scalar(c),
+                  FieldElem(field, a.coords)):
+            assert_canonical(x)
+
+    @pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_equality_and_hash_agree_with_coords(self, kernel_contexts, name, data):
+        field = kernel_contexts[name].field
+        a = data.draw(field_elements(field))
+        b = data.draw(st.one_of(st.just(a), field_elements(field)))
+        assert (a == b) == (a.coords == b.coords)
+        assert bool(a) == any(a.coords)
+        twin = FieldElem(field, a.coords)
+        assert twin == a and hash(twin) == hash(a)
+        assert twin.nums == a.nums and twin.den == a.den
+        k = data.draw(st.integers(1, 50))
+        scaled = field.from_numerators([k * x for x in a.nums], k * a.den)
+        assert scaled == a and hash(scaled) == hash(a)
+
+    @pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_linear_operations_match_coordinate_formulas(self, kernel_contexts, name, data):
+        field = kernel_contexts[name].field
+        a = data.draw(field_elements(field))
+        b = data.draw(field_elements(field))
+        c = data.draw(rationals)
+        assert (a + b).coords == tuple(x + y for x, y in zip(a.coords, b.coords))
+        assert (a - b).coords == tuple(x - y for x, y in zip(a.coords, b.coords))
+        assert (-a).coords == tuple(-x for x in a.coords)
+        assert (a * c).coords == tuple(x * c for x in a.coords)
+        assert (a + c).coords == (a.coords[0] + c,) + a.coords[1:]
+        assert a.terms() == (
+            tuple((i, x) for i, x in enumerate(a.nums) if x), a.den)
+
+    def test_comparisons_build_no_fraction_coordinates(self, kernel_contexts):
+        field = kernel_contexts["sqrt2_sqrt3"].field
+        theta = field.gen
+        a = (theta + Fraction(1, 3)) * (theta - Fraction(5, 2))
+        b = a * 2 - a
+        assert a == b and hash(a) == hash(b) and a and a.terms()
+        assert a + b - a == b and not (a - b)
+        assert a != 3 and a * 0 == 0 and field.scalar(True) == 1
+        with pytest.raises(AttributeError):
+            a._coords
+        with pytest.raises(AttributeError):
+            b._coords
+        assert a.coords is a.coords

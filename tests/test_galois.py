@@ -6,7 +6,7 @@ from conftest import KERNEL_CONTEXTS, field_elements
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looprep import FieldElem, PolyQ, build_context, context_from_json
+from looprep import FieldElem, PolyQ, build_context, context_from_json, cyclotomic_context
 from looprep.errors import (
     BadSubgroup,
     FixedFieldTooBig,
@@ -208,3 +208,47 @@ class TestSparseAction:
         g = data.draw(st.sampled_from(ctx.full_group))
         assert ctx.apply(g, a) == matrix_apply(ctx, g, a)
         assert ctx.apply(g, a * b) == ctx.apply(g, a) * ctx.apply(g, b)
+
+
+# --- data kept on the context: the K-basis and generators of H ----------------
+
+def generated(ctx, gens):
+    """Oracle: close {identity} under composition with the generators."""
+    span = {0}
+    while True:
+        bigger = span | {ctx.compose(g, x) for g in gens for x in span}
+        if bigger == span:
+            return span
+        span = bigger
+
+
+STOCK = [(4, None), (5, None), (5, [0, 3]), (7, None), (7, [0, 5]), (7, [0, 1, 3]),
+         (8, None), (8, [0, 1]), (8, [0]), (15, None), (15, [0, 7]), (16, None),
+         (16, [0, 3, 4, 7])]
+
+
+class TestContextData:
+    @pytest.mark.parametrize("n, sub", STOCK)
+    def test_generators_generate_the_subgroup(self, n, sub):
+        ctx = cyclotomic_context(n, sub)
+        gens = ctx.subgroup_generators
+        assert set(gens) <= set(ctx.subgroup)
+        assert generated(ctx, gens) == set(ctx.subgroup)
+        # no generator is redundant given the ones before it
+        for i, g in enumerate(gens):
+            assert g not in generated(ctx, gens[:i])
+
+    def test_trivial_subgroups_have_no_generators(self, trivial_ctx):
+        assert trivial_ctx.subgroup_generators == ()
+        assert cyclotomic_context(8, [0]).subgroup_generators == ()
+
+    def test_cyclic_group_needs_one_generator(self, cyclo5, cyclo5_half):
+        assert len(cyclo5.subgroup_generators) == 1
+        assert cyclo5_half.subgroup_generators == (3,)
+
+    @pytest.mark.parametrize("n, sub", STOCK)
+    def test_k_basis_is_the_fixed_space_basis(self, n, sub):
+        ctx = cyclotomic_context(n, sub)
+        assert ctx.k_basis == ctx.fixed_space_basis(ctx.subgroup)
+        assert len(ctx.k_basis) == ctx.k_degree
+        assert all(ctx.apply(h, v) == v for v in ctx.k_basis for h in ctx.subgroup)

@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looprep import (
     LWeight,
@@ -19,7 +21,7 @@ from looprep import kxmodules
 from looprep.errors import CertificateFailed, LoopRepError, NotDominant
 from looprep.exact import MatrixL, frac_rank
 
-from conftest import random_dominant
+from conftest import point_pool, random_dominant
 
 
 @pytest.fixture
@@ -266,3 +268,84 @@ class TestCertificates:
         monkeypatch.setattr(kxmodules, "frac_rank", lambda rows: 3)
         with pytest.raises(CertificateFailed):
             tensor_embedding_rank(lw, lw)
+
+
+# --- interpolation through the minimal polynomial against Gauss-Jordan ---------
+
+def dominant_lweights(ctx, rs):
+    """Hypothesis strategy: dominant l-weights on the test point pool."""
+    factor = st.tuples(st.integers(0, rs.rank - 1), st.sampled_from(point_pool(ctx)),
+                       st.integers(1, 2))
+    return st.lists(factor, min_size=1, max_size=2).map(
+        lambda fs: LWeight(ctx, rs, {(node, p): e for node, p, e in fs}))
+
+
+ORACLE_CONTEXTS = ("zeta5", "zeta7", "zeta8", "zeta15", "cyclo5_half")
+
+
+@pytest.fixture(scope="session")
+def oracle_contexts(kernel_contexts, cyclo5_half):
+    return dict(kernel_contexts, cyclo5_half=cyclo5_half)
+
+
+class TestInterpolation:
+    @pytest.mark.parametrize("name", ORACLE_CONTEXTS)
+    @settings(deadline=None, max_examples=20)
+    @given(data=st.data())
+    def test_matrices_equal_gauss_jordan_oracle(self, oracle_contexts, name, data, a1, a2):
+        ctx = oracle_contexts[name]
+        rs = data.draw(st.sampled_from((a1, a2)))
+        lw = data.draw(dominant_lweights(ctx, rs))
+        module = build_kx_module(lw)
+        for (node, r), value in lw.coefficient_values():
+            assert module.matrix(node, r) == conjugated_diagonal(module, value)
+        pool = point_pool(ctx)
+        value = module.primitive * data.draw(st.sampled_from(pool)) + 1
+        assert multiplication_matrix(module, value) == conjugated_diagonal(module, value)
+
+    @pytest.mark.parametrize("name", ORACLE_CONTEXTS)
+    @settings(deadline=None, max_examples=12)
+    @given(data=st.data())
+    def test_minimal_polynomial_and_lagrange_basis(self, oracle_contexts, name, data, a1):
+        ctx = oracle_contexts[name]
+        lw = data.draw(dominant_lweights(ctx, a1))
+        module = build_kx_module(lw)
+        field = ctx.field
+        low, basis = module.interpolation
+        poly = list(low) + [field.one]
+        assert all(ctx.apply(h, c) == c for c in poly for h in ctx.subgroup)
+        images = [ctx.apply(h, module.primitive) for h in module.coset_reps]
+        for t in images:
+            assert horner(poly, t) == field.zero
+        for j in range(module.dim):
+            lagrange = [field.from_numerators(*dense(basis[i][j], field))
+                        for i in range(module.dim)]
+            for k, t in enumerate(images):
+                assert horner(lagrange, t) == (field.one if j == k else field.zero)
+
+    def test_modules_do_not_invert_matrices(self, cyclo5, a2, monkeypatch):
+        def refuse(self):
+            raise AssertionError("MatrixL.inverse called")
+
+        monkeypatch.setattr(MatrixL, "inverse", refuse)
+        lw = LWeight(cyclo5, a2, {(0, cyclo5.field.gen): 1, (1, cyclo5.field.gen + 1): 2})
+        module = build_kx_module(lw)
+        multiplication_matrix(module, module.primitive)
+        assert module.dim == 4
+
+
+def horner(coeffs, x):
+    """Horner evaluation of ascending field coefficients at x."""
+    acc = x.field.zero
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def dense(terms, field):
+    """(numerators, den) of a terms() value."""
+    pairs, den = terms
+    nums = [0] * field.degree
+    for i, x in pairs:
+        nums[i] = x
+    return nums, den
