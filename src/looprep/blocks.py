@@ -38,11 +38,12 @@ class SpectralCharacter:
         )
 
     def class_key(self):
-        """Canonical H-orbit key: the least sorted (point coords, class) tuple
-        over the H-translates; equal keys exactly mean H-equivalent."""
+        """Canonical H-orbit key: over the H-translates, the least tuple of
+        (point, class) pairs sorted by the canonical order of points; equal
+        keys exactly mean H-equivalent."""
         apply = self.ctx.apply
         return min(
-            tuple(sorted((apply(h, p).coords, v) for p, v in self.entries.items()))
+            tuple(sorted((apply(h, p), v) for p, v in self.entries.items()))
             for h in self.ctx.subgroup
         )
 
@@ -54,20 +55,18 @@ class SpectralCharacter:
         )
 
     def __hash__(self):
-        return hash(tuple(sorted(
-            (p.coords, v) for p, v in self.entries.items()
-        )))
+        return hash(frozenset(self.entries.items()))
 
     def to_json(self):
         return [
             {"point": list(p.to_json()), "class": list(v)}
-            for p, v in sorted(self.entries.items(), key=lambda kv: kv[0].coords)
+            for p, v in sorted(self.entries.items())
         ]
 
     def __repr__(self):
         return "SpectralCharacter(%s)" % ", ".join(
             "%s -> %s" % (p.to_json(), list(v))
-            for p, v in sorted(self.entries.items(), key=lambda kv: kv[0].coords)
+            for p, v in sorted(self.entries.items())
         )
 
 

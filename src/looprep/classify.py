@@ -46,13 +46,6 @@ class Decomposition:
     def total_dim(self) -> int:
         return sum(m * c.dim_k for c, m in self.parts)
 
-    def multiplicity_of(self, lweight: LWeight) -> int:
-        key = lweight.class_key()
-        for cls, m in self.parts:
-            if cls.key == key:
-                return m
-        return 0
-
     def to_json(self):
         return [dict(cls.to_json(), mult=m) for cls, m in self.parts]
 
@@ -124,8 +117,7 @@ def _tensor_f_level(a: LWeight, b: LWeight):
     rule; distinct points multiply freely.
     """
     rs = a.rs
-    points = sorted({p for p in a.points()} | {p for p in b.points()},
-                    key=lambda e: e.coords)
+    points = sorted(set(a.points()) | set(b.points()))
     result = {LWeight.identity(a.ctx, rs): 1}
     for point in points:
         wa = a.point_weight(point)

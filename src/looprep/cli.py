@@ -27,7 +27,7 @@ from .errors import LoopRepError
 from .galois import context_from_json
 from .kxmodules import build_kx_module, char_poly_split_check, tensor_embedding_rank
 from .lweights import LWeight
-from .roots import root_system
+from .roots import _parse_type, root_system
 from .series import (
     SymPoly,
     TruncSeries,
@@ -44,12 +44,14 @@ from .series import (
 
 SCHEMA_VERSION = 1
 
-# Upper bounds on the work a command may ask for: a larger --max-steps or
-# --order makes the job malformed.  The link-chain search grows like
-# steps^rank (16 steps in E8 take seconds) and the series suite steeply with
-# the order (order 14 in B3 takes over half a minute).
+# Upper bounds on the work a job may ask for: a larger --max-steps, --order
+# or Lie-type rank makes the job malformed.  The link-chain search grows like
+# steps^rank (16 steps in E8 take seconds), the series suite steeply with the
+# order (order 14 in B3 takes over half a minute), and building a root system
+# steeply with the rank (A80 takes seconds; rank 8 covers E8).
 MAX_STEPS = 16
 MAX_ORDER = 12
+MAX_RANK = 8
 
 
 class JobError(Exception):
@@ -80,6 +82,14 @@ def _split_options(tokens):
             positional.append(tok)
             i += 1
     return positional, options
+
+
+def _root_system(lie_type):
+    """The root system of a type string whose rank is at most MAX_RANK."""
+    rank = _parse_type(lie_type)[1]
+    if rank > MAX_RANK:
+        raise JobError("Lie type %r has rank %d, above %d" % (lie_type, rank, MAX_RANK))
+    return root_system(lie_type)
 
 
 def _parse_weight(text, rank):
@@ -172,7 +182,7 @@ class Job:
         """Validate the context and the named l-weights.  Library errors
         propagate as validation failures; a node beyond the rank or a zero
         spectral point makes the job file malformed."""
-        self.rs = root_system(self.lie_type)
+        self.rs = _root_system(self.lie_type)
         self.ctx = context_from_json(self.field_json)
         for name, data in self.lweight_json.items():
             try:
@@ -282,7 +292,7 @@ def _run_command(job, tokens, defaults):
 
     if cmd == "link-chain":
         lie_type, lam_text, mu_text = args
-        rs = root_system(lie_type)
+        rs = _root_system(lie_type)
         max_steps = int(options.get("max-steps", defaults["max_steps"]))
         if not 0 <= max_steps <= MAX_STEPS:
             raise JobError("--max-steps must be in 0..%d, got %d" % (MAX_STEPS, max_steps))
@@ -297,7 +307,7 @@ def _run_command(job, tokens, defaults):
         order = int(options.get("order", defaults["order"]))
         if order > MAX_ORDER:
             raise JobError("--order must be at most %d, got %d" % (MAX_ORDER, order))
-        rs = root_system(options.get("type", job.rs.lie_type))
+        rs = _root_system(options.get("type", job.rs.lie_type))
         checks = _series_suite(rs, order)
         return {"type": rs.lie_type, "order": order,
                 "checks": checks, "allPassed": all(checks.values())}

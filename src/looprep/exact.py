@@ -9,12 +9,12 @@ form.  Everything is immutable after construction and all operations are pure.
 A number field element is stored in one canonical integer form: a tuple of
 integer numerators over a positive denominator whose gcd with all numerators
 is 1 (Cohen, A Course in Computational Algebraic Number Theory, 4.2).
-Equality, hashing, sums, differences, rational scaling, products and matrix
-dot products all run on that form.  A product convolves the operands'
-numerators, folds the terms of degree >= n back with a precomputed integer
-table of theta^n, ..., theta^(2n-2) mod m, and reduces by one gcd.
-FieldElem.coords, the canonical Fraction tuple, is derived from the form and
-built only for sort keys, serialized forms and polynomial views.
+Equality, hashing, the canonical order, sums, differences, rational
+scaling, products and matrix dot products all run on that form.  A product
+convolves the operands' numerators, folds the terms of degree >= n back with
+a precomputed integer table of theta^n, ..., theta^(2n-2) mod m, and reduces
+by one gcd.  FieldElem.coords, the canonical Fraction tuple, is derived from
+the form only for serialized forms, reprs and polynomial views.
 """
 
 from __future__ import annotations
@@ -270,11 +270,11 @@ class FieldElem:
     Canonical integer form: coordinate i is nums[i] / den, with exactly
     field.degree integer numerators, den > 0 and gcd(den, *nums) = 1, so equal
     elements have equal forms.  Hashable, so elements can key dictionaries
-    and sets; coords, the Fraction coordinate tuple built once on first use,
-    is the deterministic sort key.
+    and sets, and ordered by < on that form (the lexicographic order of the
+    coordinate vectors), so sorted() and min() give canonical results.
     """
 
-    __slots__ = ("field", "nums", "den", "_coords")
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: NumberField, coords):
         """The element with the given rational coordinates."""
@@ -292,13 +292,8 @@ class FieldElem:
     @property
     def coords(self) -> tuple:
         """The canonical Fraction coordinates nums[i] / den."""
-        try:
-            return self._coords
-        except AttributeError:
-            den = self.den
-            coords = tuple(Fraction(x, den) for x in self.nums)
-            _set(self, "_coords", coords)
-            return coords
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
@@ -324,6 +319,19 @@ class FieldElem:
 
     def __hash__(self):
         return hash((self.nums, self.den))
+
+    def __lt__(self, other):
+        """Lexicographic comparison of the coordinate vectors, decided on the
+        integer forms.  A deterministic total order for canonical forms, not
+        an ordering of the field."""
+        if not isinstance(other, FieldElem):
+            return NotImplemented
+        da, db = self.den, other.den
+        for x, y in zip(self.nums, other.nums):
+            x, y = x * db, y * da
+            if x != y:
+                return x < y
+        return False
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -402,10 +410,6 @@ class FieldElem:
 
     def as_poly(self) -> PolyQ:
         return PolyQ(self.coords)
-
-    @property
-    def is_rational(self) -> bool:
-        return not any(self.nums[1:])
 
     def to_json(self):
         return [str(c) for c in self.coords]
@@ -518,26 +522,6 @@ class MatrixL:
         for i in range(self.nrows):
             t = t + self.rows[i][i]
         return t
-
-    def inverse(self) -> "MatrixL":
-        """Exact inverse by Gauss-Jordan elimination; raises Singular."""
-        if self.nrows != self.ncols:
-            raise Singular("matrix is not square")
-        n = self.nrows
-        work = [list(r) + list(MatrixL.identity(self.field, n).rows[i])
-                for i, r in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                raise Singular("zero pivot column %d" % col)
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = work[col][col].inverse()
-            work[col] = [e * inv for e in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return MatrixL(self.field, [row[n:] for row in work])
 
     def to_json(self):
         return [[e.to_json() for e in r] for r in self.rows]

@@ -7,7 +7,6 @@ than discovering anything.  The subgroup cuts out the base field K = L^H.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
@@ -34,22 +33,20 @@ class GaloisContext:
     ``table[g][h]`` is the index of the composition g o h (apply h first).
     ``aut_columns[g]`` is (columns, den): columns[k] lists the nonzero
     (i, c) with g(theta)^k = sum(c * theta^i) / den, the integer form of
-    column k of ``aut_matrices[g]``.  ``k_basis`` is a Q-basis of the fixed
-    field K of H, and ``subgroup_generators`` a set of elements of H that
-    generates H (empty when H is trivial).
+    column k of g's matrix on the power basis.  ``k_basis`` is a Q-basis of
+    the fixed field K of H, and ``subgroup_generators`` a set of elements of
+    H that generates H (empty when H is trivial).
     """
 
-    __slots__ = ("field", "images", "aut_matrices", "aut_columns", "table",
-                 "inverses", "subgroup", "k_basis", "subgroup_generators")
+    __slots__ = ("field", "images", "aut_columns", "table", "subgroup", "k_basis",
+                 "subgroup_generators")
 
-    def __init__(self, field, images, aut_matrices, aut_columns, table, inverses, subgroup,
-                 k_basis, subgroup_generators):
+    def __init__(self, field, images, aut_columns, table, subgroup, k_basis,
+                 subgroup_generators):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "aut_matrices", aut_matrices)
         object.__setattr__(self, "aut_columns", aut_columns)
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "inverses", inverses)
         object.__setattr__(self, "subgroup", subgroup)
         object.__setattr__(self, "k_basis", k_basis)
         object.__setattr__(self, "subgroup_generators", subgroup_generators)
@@ -88,9 +85,6 @@ class GaloisContext:
     def compose(self, g: int, h: int) -> int:
         return self.table[g][h]
 
-    def inverse_of(self, g: int) -> int:
-        return self.inverses[g]
-
     # -- actions
 
     def apply(self, g: int, a: FieldElem) -> FieldElem:
@@ -98,9 +92,9 @@ class GaloisContext:
         return _act(self.field, self.aut_columns[g], a)
 
     def orbit(self, subgroup, a: FieldElem):
-        """The set {g(a) : g in subgroup}, sorted by coordinate vectors."""
+        """The set {g(a) : g in subgroup}, sorted canonically."""
         seen = {self.apply(g, a) for g in subgroup}
-        return tuple(sorted(seen, key=lambda e: e.coords))
+        return tuple(sorted(seen))
 
     def stabilizer(self, subgroup, a: FieldElem):
         """Indices in subgroup fixing a; always contains the identity."""
@@ -112,7 +106,7 @@ class GaloisContext:
 
     def fixed_space_basis(self, subgroup):
         """Field elements forming a Q-basis of {v : g(v) = v for g in S}."""
-        return _fixed_space_basis(self.field, self.aut_matrices, subgroup)
+        return _fixed_space_basis(self.field, self.aut_columns, subgroup)
 
     # -- serialization
 
@@ -156,20 +150,17 @@ def build_context(modulus, aut_images, subgroup=None) -> GaloisContext:
             raise NotARoot("image %r is not a root of the modulus" % (img,))
 
     # matrix of each automorphism on the power basis (column k = g(theta)^k)
-    aut_matrices = []
     aut_columns = []
     for img in images:
         powers = [field.one]
         for _ in range(n - 1):
             powers.append(powers[-1] * img)
-        aut_matrices.append(tuple(tuple(p.coords[i] for p in powers) for i in range(n)))
         terms = [p.terms() for p in powers]
         den = lcm(*(d for _, d in terms))
         aut_columns.append((
             tuple(tuple((i, c * (den // d)) for i, c in col) for col, d in terms),
             den,
         ))
-    aut_matrices = tuple(aut_matrices)
     aut_columns = tuple(aut_columns)
 
     index = {img: i for i, img in enumerate(images)}
@@ -185,7 +176,6 @@ def build_context(modulus, aut_images, subgroup=None) -> GaloisContext:
             raise NotClosed("element %d is not invertible in the declared set" % g)
         table.append(tuple(row))
     table = tuple(table)
-    inverses = tuple(row.index(0) for row in table)
 
     subgroup = tuple(sorted(set(int(i) for i in (subgroup if subgroup is not None else range(n)))))
     if not subgroup or subgroup[0] != 0 or subgroup[-1] >= n or subgroup[0] < 0:
@@ -196,25 +186,32 @@ def build_context(modulus, aut_images, subgroup=None) -> GaloisContext:
             if table[g][h] not in sub_set:
                 raise BadSubgroup("subgroup is not closed under composition")
 
-    if len(_fixed_space_basis(field, aut_matrices, range(n))) != 1:
+    if len(_fixed_space_basis(field, aut_columns, range(n))) != 1:
         raise FixedFieldTooBig("fixed space of the full group has dimension > 1")
-    k_basis = _fixed_space_basis(field, aut_matrices, subgroup)
+    k_basis = _fixed_space_basis(field, aut_columns, subgroup)
     if len(k_basis) != n // len(subgroup):
         raise FixedFieldTooBig("fixed space of H has dimension != |G|/|H|")
-    return GaloisContext(field, images, aut_matrices, aut_columns, table, inverses, subgroup,
-                         k_basis, _generators(table, subgroup))
+    return GaloisContext(field, images, aut_columns, table, subgroup, k_basis,
+                         _generators(table, subgroup))
 
 
-def _fixed_space_basis(field, aut_matrices, subgroup):
-    """Field elements forming a Q-basis of {v : g(v) = v for g in subgroup}."""
+def _fixed_space_basis(field, aut_columns, subgroup):
+    """Field elements forming a Q-basis of {v : g(v) = v for g in subgroup}.
+
+    The rows of g's equations are the integer rows of den * (M_g - I); row
+    scaling leaves the reduced echelon form, and so the basis, unchanged.
+    """
     n = field.degree
     rows = []
     for g in subgroup:
-        mat = aut_matrices[g]
-        for i in range(n):
-            rows.append([mat[i][k] - Fraction(int(i == k)) for k in range(n)])
+        columns, den = aut_columns[g]
+        block = [[-den if i == k else 0 for k in range(n)] for i in range(n)]
+        for k, col in enumerate(columns):
+            for i, c in col:
+                block[i][k] += c
+        rows += block
     if not rows:
-        rows = [[Fraction(0)] * n]
+        rows = [[0] * n]
     return tuple(FieldElem(field, vec) for vec in frac_kernel_basis(rows))
 
 

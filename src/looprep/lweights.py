@@ -82,11 +82,9 @@ class LWeight:
             raise ContextMismatch("l-weights from different contexts")
 
     def sort_key(self):
-        """Deterministic total order key: factors by (node, point coords)."""
-        return tuple(
-            (node, point.coords, self.factors[(node, point)])
-            for node, point in sorted(self.factors, key=lambda k: (k[0], k[1].coords))
-        )
+        """Deterministic total order key: the ((node, point), exponent)
+        factors sorted by node, then by the canonical order of points."""
+        return tuple(sorted(self.factors.items()))
 
     def __eq__(self, other):
         return (
@@ -101,7 +99,7 @@ class LWeight:
 
     def points(self):
         """Sorted global support: every point carrying a factor at some node."""
-        return tuple(sorted({p for _, p in self.factors}, key=lambda e: e.coords))
+        return tuple(sorted({p for _, p in self.factors}))
 
     def point_weight(self, point: FieldElem):
         """Per-node exponent vector at one spectral point."""
@@ -213,9 +211,7 @@ class LWeight:
         self._require_dominant()
         field = self.ctx.field
         coeffs = [field.one]
-        for (n, point), e in sorted(
-            self.factors.items(), key=lambda kv: (kv[0][0], kv[0][1].coords)
-        ):
+        for (n, point), e in self.sort_key():
             if n != node:
                 continue
             for _ in range(e):
@@ -240,9 +236,7 @@ class LWeight:
     def to_json(self):
         return [
             {"node": node + 1, "point": list(point.to_json()), "exp": e}
-            for (node, point), e in sorted(
-                self.factors.items(), key=lambda kv: (kv[0][0], kv[0][1].coords)
-            )
+            for (node, point), e in self.sort_key()
         ]
 
     @classmethod
@@ -258,8 +252,6 @@ class LWeight:
         if self.is_identity:
             return "LWeight(1)"
         parts = []
-        for (node, point), e in sorted(
-            self.factors.items(), key=lambda kv: (kv[0][0], kv[0][1].coords)
-        ):
+        for (node, point), e in self.sort_key():
             parts.append("n%d@%s^%d" % (node + 1, point.to_json(), e))
         return "LWeight(%s)" % ", ".join(parts)

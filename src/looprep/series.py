@@ -72,9 +72,6 @@ class SymPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_part(self):
-        return self.terms.get((), Fraction(0))
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SymPoly.const(other)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import looprep
 from looprep import (
     LWeight,
+    MatrixL,
     PolyQ,
     build_context,
     cyclotomic_context,
@@ -15,6 +16,7 @@ from looprep import (
     rational_context,
     root_system,
 )
+from looprep.errors import Singular
 
 
 @pytest.fixture(scope="session")
@@ -139,3 +141,26 @@ def field_elements(field, max_denominator=6):
         st.fractions(min_value=-9, max_value=9, max_denominator=max_denominator),
     )
     return st.lists(coord, min_size=field.degree, max_size=field.degree).map(field.elem)
+
+
+def gauss_jordan_inverse(m):
+    """Oracle: the exact inverse of a square MatrixL by Gauss-Jordan
+    elimination; raises Singular."""
+    if m.nrows != m.ncols:
+        raise Singular("matrix is not square")
+    n, field = m.nrows, m.field
+    one, zero = field.one, field.zero
+    work = [list(r) + [one if j == i else zero for j in range(n)]
+            for i, r in enumerate(m.rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            raise Singular("zero pivot column %d" % col)
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = work[col][col].inverse()
+        work[col] = [e * inv for e in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return MatrixL(field, [row[n:] for row in work])

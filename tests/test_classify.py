@@ -96,9 +96,10 @@ class TestTensorDecomposition:
         circle = LWeight(qi, a1, {(0, i): 1, (0, -i): 1})
         ident = LWeight.identity(qi, a1)
         assert dec.total_dim == 16
-        assert dec.multiplicity_of(circle) == 2
-        assert dec.multiplicity_of(iu * iu) == 1
-        assert dec.multiplicity_of(ident) == 2
+        mults = {cls.key: m for cls, m in dec.parts}
+        assert mults[circle.class_key()] == 2
+        assert mults[(iu * iu).class_key()] == 1
+        assert mults[ident.class_key()] == 2
         dims = sorted((c.dim_k, m) for c, m in dec.parts)
         assert dims == [(1, 2), (4, 2), (6, 1)]
 

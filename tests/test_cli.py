@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from looprep import LWeight, cli, lambda_from_h, tp_irreducible_criterion
+from looprep import LWeight, cli, lambda_from_h, root_system, tp_irreducible_criterion
 from looprep.cli import main, run
 
 
@@ -224,6 +224,28 @@ class TestExitCodes:
         assert out.returncode == 2
         assert "Traceback" not in out.stderr
         assert option in out.stderr
+
+    @pytest.mark.parametrize("lie_type, command", [
+        ("A200", "validate-field"),
+        ("A1", "link-chain A9 1,0,0,0,0,0,0,0,1 0,0,0,0,0,0,0,0,0"),
+        ("A1", "series-check --order 2 --type B9"),
+    ], ids=["lieType", "link-chain", "series-check"])
+    def test_rank_above_the_bound_is_malformed(self, tmp_path, capsys, monkeypatch,
+                                               lie_type, command):
+        built = []
+        monkeypatch.setattr(cli, "root_system", lambda t: built.append(t) or root_system(t))
+        job = write_job(tmp_path, [command], lie_type=lie_type)
+        assert run(str(job), quiet=True) == 2
+        err = capsys.readouterr().err
+        assert "rank" in err and "Traceback" not in err
+        assert built == ([] if lie_type == "A200" else ["A1"])
+
+    def test_rank_bound_covers_e8(self, tmp_path):
+        assert cli.MAX_RANK == 8
+        rep = run_json(tmp_path, ["link-chain E8 0,0,0,0,0,0,0,0 0,0,0,0,0,0,0,0 --max-steps 0",
+                                  "series-check --order 1 --type E8"])
+        assert rep["results"][0]["result"]["chain"] == [[0] * 8]
+        assert rep["results"][1]["result"]["allPassed"]
 
     def test_bounds_cover_the_documented_values(self, tmp_path):
         assert cli.MAX_STEPS >= 8 and cli.MAX_ORDER >= 10

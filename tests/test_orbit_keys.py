@@ -8,6 +8,7 @@ isomorphism predicate.
 """
 
 import importlib
+from fractions import Fraction
 
 import pytest
 from conftest import point_pool
@@ -30,6 +31,7 @@ from looprep.errors import ContextMismatch, DescentInconsistency
 
 # the package re-exports the function classify under the module's name
 classify_module = importlib.import_module("looprep.classify")
+exact_module = importlib.import_module("looprep.exact")
 
 CONTEXTS = ("qi", "cyclo5", "cyclo5_half", "zeta7", "zeta8")
 ROOT_SYSTEMS = ("a1", "a2")
@@ -114,6 +116,11 @@ def pairwise_blocks(items):
     return groups
 
 
+def coords_sort_key(lw):
+    """The sort key as factors by (node, point coordinates), exponent last."""
+    return tuple(sorted((node, p.coords, e) for (node, p), e in lw.factors.items()))
+
+
 def structurally_isomorphic(a, b):
     """Equal degrees and some h in H carrying a onto b."""
     return a.degree() == b.degree() and any(a.conjugate(h) == b for h in a.ctx.subgroup)
@@ -157,8 +164,21 @@ def test_character_key_is_least_translate(settings_by_name, ctx_name, rs_name, d
     ctx, rs = settings_by_name[ctx_name], settings_by_name[rs_name]
     char = spectral_character(data.draw(lweights(ctx, rs, dominant=False)))
     translates = [char.translate(h) for h in ctx.subgroup]
-    assert char.class_key() == min(sorted_entries(t) for t in translates)
+    key = [(p.coords, v) for p, v in char.class_key()]
+    assert key == list(min(sorted_entries(t) for t in translates))
     assert all(t.class_key() == char.class_key() for t in translates)
+
+
+@by_setting
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_sort_key_orders_like_coordinates(settings_by_name, ctx_name, rs_name, data):
+    ctx, rs = settings_by_name[ctx_name], settings_by_name[rs_name]
+    x = data.draw(lweights(ctx, rs, dominant=False))
+    y = data.draw(st.one_of(lweights(ctx, rs, dominant=False),
+                            st.sampled_from(ctx.subgroup).map(x.conjugate)))
+    assert (x.sort_key() < y.sort_key()) == (coords_sort_key(x) < coords_sort_key(y))
+    assert (x.sort_key() == y.sort_key()) == (x == y)
 
 
 @by_setting
@@ -213,6 +233,27 @@ def test_parts_sorted_by_class_key(cyclo5, rs_name, request):
     keys = [cls.key.sort_key() for cls, _ in parts]
     assert len(keys) > 2 and keys == sorted(keys)
     assert all(cls == classify(member) for cls, _ in parts for member in cls.orbit)
+
+
+def test_canonical_orders_build_no_fraction(zeta8, a2, monkeypatch):
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+    pool = point_pool(zeta8)
+    points = pool + [p * Fraction(1, 3) for p in pool] + [p * Fraction(-2, 5) for p in pool]
+    items = [LWeight(zeta8, a2, {(0, p): 1, (1, q): 2, (0, q): -1})
+             for p, q in zip(points, reversed(points)) if p != q]
+    chars = [spectral_character(lw) for lw in items]
+    monkeypatch.setattr(exact_module, "Fraction", NoFraction)
+    assert sorted(points)[0] == min(points)
+    sorted(items, key=LWeight.sort_key)
+    for lw, char in zip(items, chars):
+        lw.conjugacy_class()
+        char.class_key()
+    assert zeta8.orbit(zeta8.subgroup, points[0])
+    with pytest.raises(AssertionError):
+        points[0].coords
 
 
 @by_rank

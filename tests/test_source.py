@@ -8,15 +8,28 @@ import looprep
 SRC = os.path.dirname(os.path.abspath(looprep.__file__))
 
 
+def library_nodes():
+    """(module file name, AST node) for every node of every library module."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            for node in ast.walk(tree):
+                yield name, node
+
+
 def test_no_assert_statements_in_library():
     # python -O strips assert statements: a claim-bearing check must be real
     # code raising a named LoopRepError, and a pure cross-check belongs in tests/
-    found = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
-        found += ["%s:%d" % (name, node.lineno)
-                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    found = ["%s:%d" % (name, node.lineno)
+             for name, node in library_nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_only_exact_reads_coordinates():
+    # field elements order, hash and compare themselves on the integer form;
+    # the Fraction coordinates are for exact's own JSON, repr and PolyQ views
+    found = ["%s:%d" % (name, node.lineno) for name, node in library_nodes()
+             if name != "exact.py" and isinstance(node, ast.Attribute)
+             and node.attr == "coords"]
     assert found == []
