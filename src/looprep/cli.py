@@ -44,14 +44,16 @@ from .series import (
 
 SCHEMA_VERSION = 1
 
-# Upper bounds on the work a job may ask for: a larger --max-steps, --order
-# or Lie-type rank makes the job malformed.  The link-chain search grows like
-# steps^rank (16 steps in E8 take seconds), the series suite steeply with the
-# order (order 14 in B3 takes over half a minute), and building a root system
-# steeply with the rank (A80 takes seconds; rank 8 covers E8).
+# Upper bounds on the work a job may ask for: a larger --max-steps, --order,
+# Lie-type rank or series-check rank times order makes the job malformed.
+# The link-chain search grows like steps^rank (16 steps in E8 take seconds),
+# building a root system steeply with the rank (A80 takes seconds; rank 8
+# covers E8), and the series suite steeply with rank and order (2-CPU machine:
+# F4 at order 9, the slowest within 36, 4 s; E8 at 5, 7 s; B3 at 14, 8 s).
 MAX_STEPS = 16
 MAX_ORDER = 12
 MAX_RANK = 8
+MAX_RANK_ORDER = 36
 
 
 class JobError(Exception):
@@ -308,6 +310,9 @@ def _run_command(job, tokens, defaults):
         if order > MAX_ORDER:
             raise JobError("--order must be at most %d, got %d" % (MAX_ORDER, order))
         rs = _root_system(options.get("type", job.rs.lie_type))
+        if rs.rank * order > MAX_RANK_ORDER:
+            raise JobError("rank %d times --order %d is above the rank*order bound %d"
+                           % (rs.rank, order, MAX_RANK_ORDER))
         checks = _series_suite(rs, order)
         return {"type": rs.lie_type, "order": order,
                 "checks": checks, "allPassed": all(checks.values())}
@@ -320,12 +325,13 @@ def _series_suite(rs, order):
     lam = lambda_from_h("a", order)
     recovered = h_from_lambda(lam)
     binomials = h_series("a", order)
+    inverse = series_inverse(lam)
     checks = {
         "roundTrip": all(
             recovered[s - 1] == SymPoly.var(h_symbol("a", s)) for s in range(1, order + 1)
         ),
-        "antipode": lam * series_inverse(lam) == TruncSeries.one(order)
-        and series_inverse(series_inverse(lam)) == lam,
+        "antipode": lam * inverse == TruncSeries.one(order)
+        and series_inverse(inverse) == lam,
         "evaluation": all(
             ev_lambda_check("a", r, Fraction(1)) for r in range(1, min(order, 6) + 1)
         ),

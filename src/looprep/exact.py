@@ -308,11 +308,12 @@ class FieldElem:
         return any(self.nums)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, FieldElem):
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = self.field.scalar(other)
         return (
-            isinstance(other, FieldElem)
-            and self.den == other.den
+            self.den == other.den
             and self.nums == other.nums
             and (self.field is other.field or self.field.modulus == other.field.modulus)
         )

@@ -6,8 +6,8 @@ point, the single symbol h[alpha].  The generating series of the commuting
 loop generators, its logarithm, products over coroot coefficients, the t ->
 t^k twist, evaluation, and the antipode (series inverse) all live here.
 
-Symbols are tuples; keep the alpha tags of one series uniform in type so
-monomials sort deterministically.
+A monomial is a frozenset of (symbol, exponent) pairs, so equal monomials
+are equal dict keys without any sorting; only printing sorts.
 """
 
 from __future__ import annotations
@@ -34,8 +34,37 @@ def _sym_str(sym):
     return "h[%s]" % ",".join(str(x) for x in sym[1:])
 
 
+def _mono_mul(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    merged = dict(m1)
+    for s, e in m2:
+        merged[s] = merged.get(s, 0) + e
+    return frozenset(merged.items())
+
+
+def _add_into(acc, p):
+    """Add the SymPoly p into the term dict acc."""
+    for m, c in p.terms.items():
+        cur = acc.get(m)
+        acc[m] = c if cur is None else cur + c
+
+
+def _mul_into(acc, p, q):
+    """Add the product of SymPolys p and q into the term dict acc."""
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            key = _mono_mul(m1, m2)
+            prod = c1 * c2
+            cur = acc.get(key)
+            acc[key] = prod if cur is None else cur + prod
+
+
 class SymPoly:
-    """Sparse polynomial: dict from sorted ((symbol, exp), ...) to coefficient.
+    """Sparse polynomial: dict from monomial (a frozenset of (symbol, exp)
+    pairs) to coefficient.
 
     Coefficients are Fractions, promoted lazily to field elements when an
     evaluation point lives in a number field.
@@ -44,25 +73,18 @@ class SymPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for mono, c in (terms or {}).items():
-            if not c:
-                continue
-            mono = tuple(sorted((s, int(e)) for s, e in mono if e))
-            cur = clean.get(mono)
-            clean[mono] = c if cur is None else cur + c
-        object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c})
+        object.__setattr__(self, "terms", {m: c for m, c in (terms or {}).items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("SymPoly is immutable")
 
     @classmethod
     def const(cls, c):
-        return cls({(): Fraction(c) if isinstance(c, int) else c})
+        return cls({frozenset(): Fraction(c) if isinstance(c, int) else c})
 
     @classmethod
     def var(cls, symbol):
-        return cls({((symbol, 1),): Fraction(1)})
+        return cls({frozenset(((symbol, 1),)): Fraction(1)})
 
     @classmethod
     def zero(cls):
@@ -78,18 +100,13 @@ class SymPoly:
         return isinstance(other, SymPoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms)))
+        return hash(frozenset(self.terms))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SymPoly.const(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+        _add_into(out, other)
         return SymPoly(out)
 
     __radd__ = __add__
@@ -109,19 +126,7 @@ class SymPoly:
         if not isinstance(other, SymPoly):
             return SymPoly({m: c * other for m, c in self.terms.items()})
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged = dict(m1)
-                for s, e in m2:
-                    merged[s] = merged.get(s, 0) + e
-                key = tuple(sorted(merged.items()))
-                prod = c1 * c2
-                cur = out.get(key, 0)
-                total = cur + prod if cur else prod
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
+        _mul_into(out, self, other)
         return SymPoly(out)
 
     __rmul__ = __mul__
@@ -132,40 +137,29 @@ class SymPoly:
             acc = acc * self
         return acc
 
-    def map_symbols(self, fn):
-        """Rename symbols via fn (symbol -> symbol)."""
-        out = {}
-        for mono, c in self.terms.items():
-            key = tuple(sorted((fn(s), e) for s, e in mono))
-            cur = out.get(key)
-            out[key] = c if cur is None else cur + c
-        return SymPoly(out)
-
     def substitute(self, mapping):
         """Replace symbols by polynomials; unmapped symbols stay atomic."""
-        acc = SymPoly.zero()
+        out = {}
         for mono, c in self.terms.items():
-            term = SymPoly.const(1)
+            term = SymPoly({frozenset(p for p in mono if p[0] not in mapping): c})
             for sym, e in mono:
-                image = mapping.get(sym)
-                if image is None:
-                    image = SymPoly.var(sym)
-                term = term * image ** e
-            acc = acc + term * c
-        return acc
+                if sym in mapping:
+                    term = term * mapping[sym] ** e
+            _add_into(out, term)
+        return SymPoly(out)
 
     def __str__(self):
         if not self.terms:
             return "0"
-        def mono_key(m):
-            return (sum(e for _, e in m), m)
         pieces = []
-        for mono in sorted(self.terms, key=mono_key):
-            c = self.terms[mono]
-            factors = []
-            for s, e in mono:
-                factors.append(_sym_str(s) if e == 1 else "%s^%d" % (_sym_str(s), e))
-            body = "*".join(factors)
+        monos = sorted(
+            ((tuple(sorted(m)), c) for m, c in self.terms.items()),
+            key=lambda mc: (sum(e for _, e in mc[0]), mc[0]),
+        )
+        for mono, c in monos:
+            body = "*".join(
+                _sym_str(s) if e == 1 else "%s^%d" % (_sym_str(s), e) for s, e in mono
+            )
             if not body:
                 pieces.append(str(c))
             elif c == 1:
@@ -228,24 +222,17 @@ class TruncSeries:
         if isinstance(other, (int, Fraction, SymPoly)):
             return TruncSeries(self.order, [c * other for c in self.coeffs])
         self._check(other)
-        out = [SymPoly.zero() for _ in range(self.order + 1)]
+        out = [{} for _ in range(self.order + 1)]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
             for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.order, out)
+                _mul_into(out[i + j], a, other.coeffs[j])
+        return TruncSeries(self.order, [SymPoly(terms) for terms in out])
 
     def __pow__(self, n: int) -> "TruncSeries":
         acc = TruncSeries.one(self.order)
         for _ in range(n):
             acc = acc * self
         return acc
-
-    def map_symbols(self, fn) -> "TruncSeries":
-        return TruncSeries(self.order, [c.map_symbols(fn) for c in self.coeffs])
 
     def substitute(self, mapping) -> "TruncSeries":
         return TruncSeries(self.order, [c.substitute(mapping) for c in self.coeffs])
@@ -266,39 +253,51 @@ class TruncSeries:
         return "TruncSeries(%s)" % self
 
 
+# Both _exp and _log solve a' = b' a for a = exp(b), coefficientwise
+# n a_n = sum_{k=1..n} k b_k a_{n-k} (Knuth, TAOCP vol. 2, 4.7): one pass,
+# O(N^2) coefficient products, each coefficient built once.
+
 def _exp(arg: TruncSeries) -> TruncSeries:
-    if not arg.coeffs[0].is_zero:
+    b = arg.coeffs
+    if not b[0].is_zero:
         raise ValueError("exp needs zero constant term")
-    acc = TruncSeries.one(arg.order)
-    power = TruncSeries.one(arg.order)
-    fact = 1
-    for k in range(1, arg.order + 1):
-        power = power * arg
-        fact *= k
-        acc = acc + power * Fraction(1, fact)
-    return acc
+    a = [SymPoly.const(1)]
+    for n in range(1, arg.order + 1):
+        acc = {}
+        for k in range(1, n + 1):
+            _mul_into(acc, b[k] * Fraction(k, n), a[n - k])
+        a.append(SymPoly(acc))
+    return TruncSeries(arg.order, a)
 
 
 def _log(series: TruncSeries) -> TruncSeries:
-    if series.coeffs[0] != SymPoly.const(1):
+    a = series.coeffs
+    if a[0] != SymPoly.const(1):
         raise BadConstantTerm("log needs constant term 1")
-    shifted = series - TruncSeries.one(series.order)
-    acc = TruncSeries(series.order, [SymPoly.zero()] * (series.order + 1))
-    power = TruncSeries.one(series.order)
-    for k in range(1, series.order + 1):
-        power = power * shifted
-        acc = acc + power * Fraction((-1) ** (k + 1), k)
-    return acc
+    b = [SymPoly.zero()]
+    for n in range(1, series.order + 1):
+        acc = dict(a[n].terms)
+        for k in range(1, n):
+            _mul_into(acc, b[k] * Fraction(-k, n), a[n - k])
+        b.append(SymPoly(acc))
+    return TruncSeries(series.order, b)
+
+
+def _h_exponent(weights, order: int) -> TruncSeries:
+    """The series -sum_s (sum_alpha m_alpha h[alpha,s]) u^s / s for weights
+    {alpha: m_alpha}."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return TruncSeries(order, [SymPoly.zero()] + [
+        SymPoly({frozenset(((h_symbol(alpha, s), 1),)): Fraction(-m, s)
+                 for alpha, m in weights.items()})
+        for s in range(1, order + 1)
+    ])
 
 
 def lambda_from_h(alpha, order: int) -> TruncSeries:
     """Generating series exp(-sum_s h[alpha,s] u^s / s) up to the order."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    arg = TruncSeries(order, [SymPoly.zero()] + [
-        SymPoly.var(h_symbol(alpha, s)) * Fraction(-1, s) for s in range(1, order + 1)
-    ])
-    return _exp(arg)
+    return _exp(_h_exponent({alpha: 1}, order))
 
 
 def h_from_lambda(series: TruncSeries):
@@ -331,34 +330,30 @@ def lambda_alpha_from_simples(rs: RootSystem, root, order: int) -> TruncSeries:
 
 
 def lambda_alpha_identity_holds(rs: RootSystem, root, order: int) -> bool:
-    """Check that substituting h[alpha,s] = sum_i m_i h[i,s] into the
-    exponential formula reproduces the product over simple roots."""
-    coeffs = rs.coroot_coeffs(root)
-    tag = "alpha"
-    mapping = {}
-    for s in range(1, order + 1):
-        total = SymPoly.zero()
-        for i, m in enumerate(coeffs):
-            if m:
-                total = total + SymPoly.var(h_symbol(i + 1, s)) * Fraction(m)
-        mapping[h_symbol(tag, s)] = total
-    return lambda_from_h(tag, order).substitute(mapping) == \
-        lambda_alpha_from_simples(rs, root, order)
+    """Check that the exponential formula with h[alpha,s] = sum_i m_i h[i,s]
+    substituted reproduces the product over simple roots."""
+    weights = {i + 1: m for i, m in enumerate(rs.coroot_coeffs(root)) if m}
+    return _exp(_h_exponent(weights, order)) == lambda_alpha_from_simples(rs, root, order)
+
+
+def _h_symbols(series: TruncSeries):
+    """The generator symbols h[alpha, s] occurring in a series."""
+    return {
+        sym
+        for coeff in series.coeffs
+        for mono in coeff.terms
+        for sym, _ in mono
+        if len(sym) == 3 and sym[0] == "h"
+    }
 
 
 def twist(series: TruncSeries, k: int) -> TruncSeries:
     """The loop twist t -> t^k on symbols: h[alpha, s] becomes h[alpha, ks]."""
     if k < 1:
         raise ValueError("twist exponent must be >= 1")
-    if k == 1:
-        return series
-
-    def fn(sym):
-        if len(sym) == 3 and sym[0] == "h":
-            return (sym[0], sym[1], k * sym[2])
-        return sym
-
-    return series.map_symbols(fn)
+    return series.substitute({
+        sym: SymPoly.var(h_symbol(sym[1], k * sym[2])) for sym in _h_symbols(series)
+    })
 
 
 def eval_at(series: TruncSeries, point) -> TruncSeries:
@@ -367,17 +362,10 @@ def eval_at(series: TruncSeries, point) -> TruncSeries:
         point = Fraction(point)
     if not point:
         raise ZeroPoint("evaluation point must be nonzero")
-    symbols = {
-        sym
-        for coeff in series.coeffs
-        for mono, _ in coeff.terms.items()
-        for sym, _ in mono
-        if len(sym) == 3 and sym[0] == "h"
-    }
-    mapping = {
-        sym: SymPoly.var(h_point_symbol(sym[1])) * point ** sym[2] for sym in symbols
-    }
-    return series.substitute(mapping)
+    return series.substitute({
+        sym: SymPoly.var(h_point_symbol(sym[1])) * point ** sym[2]
+        for sym in _h_symbols(series)
+    })
 
 
 def binom_poly(symbol, k: int) -> SymPoly:
@@ -394,8 +382,6 @@ def binom_poly(symbol, k: int) -> SymPoly:
 def ev_lambda_check(alpha, r: int, point) -> bool:
     """Verify that evaluation sends the u^r coefficient to
     (-point)^r * binom(h[alpha], r)."""
-    if isinstance(point, int):
-        point = Fraction(point)
     actual = eval_at(lambda_from_h(alpha, r), point).coeffs[r]
     expected = binom_poly(h_point_symbol(alpha), r) * (-point) ** r
     return actual == expected
@@ -406,12 +392,13 @@ def series_inverse(series: TruncSeries) -> TruncSeries:
     acts on the generating series exactly this way)."""
     if series.coeffs[0] != SymPoly.const(1):
         raise BadConstantTerm("inverse needs constant term 1")
+    negated = [-c for c in series.coeffs]
     out = [SymPoly.const(1)]
     for k in range(1, series.order + 1):
-        acc = SymPoly.zero()
+        acc = {}
         for j in range(1, k + 1):
-            acc = acc + series.coeffs[j] * out[k - j]
-        out.append(-acc)
+            _mul_into(acc, negated[j], out[k - j])
+        out.append(SymPoly(acc))
     return TruncSeries(series.order, out)
 
 

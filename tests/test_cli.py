@@ -247,6 +247,30 @@ class TestExitCodes:
         assert rep["results"][0]["result"]["chain"] == [[0] * 8]
         assert rep["results"][1]["result"]["allPassed"]
 
+    @pytest.mark.parametrize("command, flags", [
+        ("series-check --type E8", []),
+        ("series-check --order 8 --type E8", []),
+        ("series-check --type E8", ["--order", "8"]),
+        ("series-check --order 7 --type A6", []),
+    ], ids=["E8-default-order", "E8-order-inline", "E8-order-global", "A6-order-7"])
+    def test_rank_times_order_above_the_bound_is_malformed(self, tmp_path, capsys,
+                                                           monkeypatch, command, flags):
+        # E8 at the default order ran for minutes; the bound rejects it before
+        # any series work is done
+        monkeypatch.setattr(cli, "_series_suite",
+                            lambda rs, order: pytest.fail("series suite ran"))
+        job = write_job(tmp_path, [command])
+        assert main([str(job), "--quiet"] + flags) == 2
+        err = capsys.readouterr().err
+        assert "rank*order bound %d" % cli.MAX_RANK_ORDER in err
+        assert "Traceback" not in err
+
+    def test_rank_order_bound_is_inclusive(self, tmp_path):
+        # the largest series-check in perfbench is B3 at order 10, the README's G2 at 8
+        assert cli.MAX_RANK_ORDER == 36
+        rep = run_json(tmp_path, ["series-check --order 6 --type A6"])
+        assert rep["results"][0]["result"]["allPassed"]
+
     def test_bounds_cover_the_documented_values(self, tmp_path):
         assert cli.MAX_STEPS >= 8 and cli.MAX_ORDER >= 10
         rep = run_json(tmp_path, ["link-chain A1 4 0 --max-steps %d" % cli.MAX_STEPS])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,59 @@ from looprep import (
     series_inverse,
     twist,
 )
+from looprep import series
 from looprep.errors import BadConstantTerm, ZeroPoint
-from looprep.series import h_point_symbol
+from looprep.series import _exp, _h_exponent, _log, h_point_symbol
 
 H = lambda s: SymPoly.var(h_symbol("a", s))
+
+
+def power_exp(arg):
+    """Oracle: exp as sum_k arg^k / k!, with N full series products."""
+    acc = TruncSeries.one(arg.order)
+    power = TruncSeries.one(arg.order)
+    fact = 1
+    for k in range(1, arg.order + 1):
+        power = power * arg
+        fact *= k
+        acc = acc + power * Fraction(1, fact)
+    return acc
+
+
+def power_log(series):
+    """Oracle: log as sum_k (-1)^(k+1) (series - 1)^k / k."""
+    shifted = series - TruncSeries.one(series.order)
+    acc = TruncSeries(series.order, [SymPoly.zero()] * (series.order + 1))
+    power = TruncSeries.one(series.order)
+    for k in range(1, series.order + 1):
+        power = power * shifted
+        acc = acc + power * Fraction((-1) ** (k + 1), k)
+    return acc
+
+
+def substituted_left_side(rs, root, order):
+    """Oracle: the exponential formula for a root symbol with h[alpha, s]
+    replaced by sum_i m_i h[i, s] afterwards."""
+    mapping = {}
+    for s in range(1, order + 1):
+        total = SymPoly.zero()
+        for i, m in enumerate(rs.coroot_coeffs(root)):
+            if m:
+                total = total + SymPoly.var(h_symbol(i + 1, s)) * Fraction(m)
+        mapping[h_symbol("alpha", s)] = total
+    return lambda_from_h("alpha", order).substitute(mapping)
+
+
+def random_series(rng, order, constant):
+    """A series with the given constant term and small random coefficients
+    in the symbols x and y."""
+    x, y = SymPoly.var(("x",)), SymPoly.var(("y",))
+    coeffs = [SymPoly.const(constant)]
+    for _ in range(order):
+        coeffs.append(x * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      + y * Fraction(rng.randint(-2, 2))
+                      + SymPoly.const(Fraction(rng.randint(-2, 2), rng.randint(1, 2))))
+    return TruncSeries(order, coeffs)
 
 
 class TestGeneratingSeries:
@@ -77,6 +127,70 @@ class TestRootSeries:
         rs = root_system(lie_type)
         for root in rs.positive_roots:
             assert lambda_alpha_identity_holds(rs, root, 6)
+
+
+class TestRecurrences:
+    # _exp and _log are single-pass recurrences; the power loops they
+    # replaced are the oracles, compared coefficient by coefficient
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_generating_series(self, order):
+        arg = _h_exponent({"a": 1}, order)
+        lam = lambda_from_h("a", order)
+        assert _exp(arg).coeffs == power_exp(arg).coeffs == lam.coeffs
+        assert _log(lam).coeffs == power_log(lam).coeffs == arg.coeffs
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_generic_series(self, order):
+        generic = generic_lambda_series("a", order)
+        logs = _log(generic)
+        assert logs.coeffs == power_log(generic).coeffs
+        assert _exp(logs).coeffs == power_exp(logs).coeffs == generic.coeffs
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_series(self, order, seed):
+        rng = random.Random(order * 10 + seed)
+        arg = random_series(rng, order, 0)
+        assert _exp(arg).coeffs == power_exp(arg).coeffs
+        series = random_series(rng, order, 1)
+        assert _log(series).coeffs == power_log(series).coeffs
+
+    def test_exp_rejects_constant_term(self):
+        with pytest.raises(ValueError):
+            _exp(TruncSeries.one(3))
+
+
+class TestRootFormula:
+    @pytest.mark.parametrize("lie_type", ["A2", "B2", "G2"])
+    def test_left_side_is_the_substituted_formula(self, lie_type):
+        rs = root_system(lie_type)
+        for order in range(1, 7):
+            for root in rs.positive_roots:
+                weights = {i + 1: m for i, m in enumerate(rs.coroot_coeffs(root)) if m}
+                assert _exp(_h_exponent(weights, order)) == \
+                    substituted_left_side(rs, root, order)
+
+    def test_extra_simple_factor_is_detected(self, g2, monkeypatch):
+        true_product = series.lambda_alpha_from_simples
+        monkeypatch.setattr(series, "lambda_alpha_from_simples",
+                            lambda rs, root, order: true_product(rs, root, order)
+                            * lambda_from_h(1, order))
+        for root in g2.positive_roots:
+            assert not lambda_alpha_identity_holds(g2, root, 4)
+
+
+class TestMixedTags:
+    def test_int_and_str_tags(self):
+        # monomials are compared as sets, never sorted, so an int tag and a
+        # str tag may share one polynomial
+        x = SymPoly.var(h_symbol(1, 1))
+        y = SymPoly.var(h_symbol("a", 1))
+        assert x * y == y * x and hash(x * y) == hash(y * x)
+        assert x * y != x * x
+        assert {x * y: 1}[y * x] == 1
+        assert (x + y) * (x - y) == x * x - y * y
+        assert (x * y).substitute({h_symbol(1, 1): y}) == y * y
 
 
 class TestTwist:

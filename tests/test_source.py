@@ -33,3 +33,21 @@ def test_only_exact_reads_coordinates():
              if name != "exact.py" and isinstance(node, ast.Attribute)
              and node.attr == "coords"]
     assert found == []
+
+
+def test_series_sorts_only_to_print():
+    # monomials are frozensets and polynomials dicts keyed by them, so the
+    # arithmetic never needs an order; only __str__ sorts, for stable output
+    with open(os.path.join(SRC, "series.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="series.py")
+
+    def sorted_calls(root):
+        return {node for node in ast.walk(root) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "sorted"}
+
+    printing = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "__str__":
+            printing |= sorted_calls(node)
+    assert printing
+    assert ["series.py:%d" % node.lineno for node in sorted_calls(tree) - printing] == []
