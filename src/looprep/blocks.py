@@ -31,21 +31,21 @@ class SpectralCharacter:
     def is_trivial(self) -> bool:
         return not self.entries
 
+    def _rows(self):
+        """(point images under G, class) for every entry."""
+        images = self.ctx.point_images
+        return [(images(p), v) for p, v in self.entries.items()]
+
     def translate(self, g: int) -> "SpectralCharacter":
-        return SpectralCharacter(
-            self.ctx, self.rs,
-            {self.ctx.apply(g, p): v for p, v in self.entries.items()},
-        )
+        """The character moved by g: a relabeling through the point table."""
+        return SpectralCharacter(self.ctx, self.rs, {row[g]: v for row, v in self._rows()})
 
     def class_key(self):
         """Canonical H-orbit key: over the H-translates, the least tuple of
         (point, class) pairs sorted by the canonical order of points; equal
         keys exactly mean H-equivalent."""
-        apply = self.ctx.apply
-        return min(
-            tuple(sorted((apply(h, p), v) for p, v in self.entries.items()))
-            for h in self.ctx.subgroup
-        )
+        rows = self._rows()
+        return min(tuple(sorted((row[h], v) for row, v in rows)) for h in self.ctx.subgroup)
 
     def __eq__(self, other):
         return (

@@ -5,6 +5,10 @@ irreducible factors into evaluation modules at the spectral points, so tensor
 products decompose pointwise; descending to K groups the resulting classes
 into H-orbits, whose (necessarily constant) multiplicities give the K-level
 answer.  Dimensions obey dim_K = degree * dim_F.
+
+H permutes the orbit pairs (a', b') of a tensor product, so descent needs the
+pointwise product of one pair per H-orbit of pairs only: with a fixed, b'
+runs over the Stab(a)-orbits on the orbit of b (orbit-stabilizer).
 """
 
 from __future__ import annotations
@@ -61,9 +65,7 @@ def classify(lweight: LWeight) -> IrrClass:
     if not lweight.is_dominant:
         raise NotDominant("classification requires a dominant l-weight")
     orbit, degree = lweight.conjugacy_class()
-    dim_f = 1
-    for point in lweight.points():
-        dim_f *= lweight.rs.weyl_dim(lweight.point_weight(point))
+    dim_f = _dim_f(lweight)
     return IrrClass(
         key=orbit[0],
         orbit=orbit,
@@ -110,15 +112,24 @@ def tp_irreducible_criterion(a: LWeight, b: LWeight) -> bool:
     return a.relatively_prime(b) and (a * b).degree() == a.degree() * b.degree()
 
 
+def _dim_f(lweight: LWeight) -> int:
+    """Product of the Weyl dimensions of the per-point weights."""
+    dim_f = 1
+    for point in lweight.points():
+        dim_f *= lweight.rs.weyl_dim(lweight.point_weight(point))
+    return dim_f
+
+
 def _tensor_f_level(a: LWeight, b: LWeight):
     """Decomposition of V_F(a) (x) V_F(b) as a dict l-weight -> multiplicity.
 
     Shared spectral points decompose by the simple-algebra Clebsch-Gordan
-    rule; distinct points multiply freely.
+    rule; distinct points multiply freely.  Partial products are tuples of
+    factors in point order, so each constituent is built once, at the end.
     """
     rs = a.rs
     points = sorted(set(a.points()) | set(b.points()))
-    result = {LWeight.identity(a.ctx, rs): 1}
+    result = {(): 1}
     for point in points:
         wa = a.point_weight(point)
         wb = b.point_weight(point)
@@ -129,17 +140,15 @@ def _tensor_f_level(a: LWeight, b: LWeight):
             local = [(fixed, 1)] if any(fixed) else []
         if not local:
             continue
+        pieces = [(tuple(((node, point), e) for node, e in enumerate(weight) if e), m)
+                  for weight, m in local]
         merged = {}
         for partial, mult in result.items():
-            for weight, m in local:
-                piece = LWeight(
-                    a.ctx, rs,
-                    {(node, point): e for node, e in enumerate(weight) if e},
-                )
-                key = partial * piece
+            for piece, m in pieces:
+                key = partial + piece
                 merged[key] = merged.get(key, 0) + mult * m
         result = merged
-    return result
+    return {LWeight._unchecked(a.ctx, rs, dict(key)): m for key, m in result.items()}
 
 
 def tensor_decompose_k(a: LWeight, b: LWeight) -> Decomposition:
@@ -147,30 +156,53 @@ def tensor_decompose_k(a: LWeight, b: LWeight) -> Decomposition:
 
     Base change is multiplicity-free across each orbit in characteristic
     zero, so the product over K splits over the closure into the tensor
-    products of all orbit pairs; those decompose pointwise, and regrouping
-    the constituents into H-orbits descends the multiplicities to K.  Each
-    orbit is classified once and taken out of the F-level multiplicities
-    whole; a member missing from them counts as multiplicity 0.
+    products V(a') (x) V(b') of all orbit pairs, and regrouping their
+    constituents into H-orbits descends the multiplicities to K.  H permutes
+    the pairs, so only one pair per H-orbit is decomposed: (a, b') for b' in
+    one representative per Stab(a)-orbit on the orbit of b, weighted by the
+    pair orbit's size |O_a| * |Stab(a) b'|.  A class's weighted sum is its
+    multiplicity times its degree.  Certificate: every such sum must divide
+    exactly, and the dimensions must add up to dim_K(a) * dim_K(b);
+    otherwise ``DescentInconsistency`` is raised.
     """
     a._require_compatible(b)
     if not (a.is_dominant and b.is_dominant):
         raise NotDominant("tensor decomposition requires dominant l-weights")
-    orbit_a, _ = a.conjugacy_class()
+    stab_a = a.stabilizer()
+    size_a = len(a.ctx.subgroup) // len(stab_a)
     orbit_b, _ = b.conjugacy_class()
-    f_mults = {}
-    for ap in orbit_a:
-        for bp in orbit_b:
-            for lw, m in _tensor_f_level(ap, bp).items():
-                f_mults[lw] = f_mults.get(lw, 0) + m
+    by_member = {}  # constituent -> [its IrrClass, weighted sum], one list per class
+    entries = []
+    seen = set()
+    for bp in orbit_b:
+        if bp in seen:
+            continue
+        pair_orbit = {bp.conjugate(s) for s in stab_a}
+        seen |= pair_orbit
+        weight = size_a * len(pair_orbit)
+        for lw, m in _tensor_f_level(a, bp).items():
+            entry = by_member.get(lw)
+            if entry is None:
+                cls = classify(lw)
+                entry = [cls, 0]
+                entries.append(entry)
+                by_member.update(dict.fromkeys(cls.orbit, entry))
+            entry[1] += weight * m
 
     parts = []
-    while f_mults:
-        cls = classify(next(iter(f_mults)))
-        values = {f_mults.pop(member, 0) for member in cls.orbit}
-        if len(values) != 1 or 0 in values:
+    for cls, total in entries:
+        mult, rest = divmod(total, cls.degree)
+        if rest or mult <= 0:
             raise DescentInconsistency(
-                "orbit of %r has non-constant multiplicities %r" % (cls.key, values)
+                "class of %r has weighted multiplicity %d over degree %d"
+                % (cls.key, total, cls.degree)
             )
-        parts.append((cls, values.pop()))
+        parts.append((cls, mult))
     parts.sort(key=lambda part: part[0].key.sort_key())
-    return Decomposition(parts=tuple(parts))
+    dec = Decomposition(parts=tuple(parts))
+    expected = size_a * _dim_f(a) * len(orbit_b) * _dim_f(b)
+    if dec.total_dim != expected:
+        raise DescentInconsistency(
+            "constituents have dimension %d over K, the product %d" % (dec.total_dim, expected)
+        )
+    return dec

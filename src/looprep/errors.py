@@ -78,7 +78,8 @@ class ContextMismatch(LoopRepError):
 
 
 class DescentInconsistency(LoopRepError):
-    """Galois descent produced non-constant multiplicities on an orbit."""
+    """Galois descent failed its certificate: a class's weighted sum is not
+    a positive multiple of its degree, or the dimensions do not add up."""
 
 
 class UnsupportedType(LoopRepError):

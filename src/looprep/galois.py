@@ -3,6 +3,12 @@
 The caller declares the modulus, the automorphism images g(theta), and a
 subgroup H; the library verifies every group and fixed-field invariant rather
 than discovering anything.  The subgroup cuts out the base field K = L^H.
+
+``GaloisContext.apply`` is a sparse integer product on each call.  Spectral
+points, whose images the l-weight layer needs again and again, go through
+``point_images`` instead: a table that holds each point's images under the
+whole group, filled one orbit at a time, so that conjugating an l-weight or a
+spectral character is a relabeling of its points.
 """
 
 from __future__ import annotations
@@ -35,11 +41,13 @@ class GaloisContext:
     (i, c) with g(theta)^k = sum(c * theta^i) / den, the integer form of
     column k of g's matrix on the power basis.  ``k_basis`` is a Q-basis of
     the fixed field K of H, and ``subgroup_generators`` a set of elements of
-    H that generates H (empty when H is trivial).
+    H that generates H (empty when H is trivial).  The table of spectral
+    points behind ``point_images`` is not part of the context's value:
+    equality and hashing ignore it.
     """
 
     __slots__ = ("field", "images", "aut_columns", "table", "subgroup", "k_basis",
-                 "subgroup_generators")
+                 "subgroup_generators", "_point_rows")
 
     def __init__(self, field, images, aut_columns, table, subgroup, k_basis,
                  subgroup_generators):
@@ -50,6 +58,7 @@ class GaloisContext:
         object.__setattr__(self, "subgroup", subgroup)
         object.__setattr__(self, "k_basis", k_basis)
         object.__setattr__(self, "subgroup_generators", subgroup_generators)
+        object.__setattr__(self, "_point_rows", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GaloisContext is immutable")
@@ -90,6 +99,25 @@ class GaloisContext:
     def apply(self, g: int, a: FieldElem) -> FieldElem:
         """Apply automorphism g to a field element (a ring homomorphism)."""
         return _act(self.field, self.aut_columns[g], a)
+
+    def point_images(self, p: FieldElem):
+        """The tuple (g(p) for g in G) of a spectral point, indexed by group
+        element.
+
+        The first point of an orbit costs one sparse product per element;
+        every other member q = g(p) gets its row from the composition table,
+        since h(q) = (h o g)(p).  Only spectral points belong here: matrix
+        entries and other one-off elements go through ``apply``.
+        """
+        rows = self._point_rows
+        row = rows.get(p)
+        if row is None:
+            row = tuple(_act(self.field, cols, p) for cols in self.aut_columns)
+            for g, q in enumerate(row):
+                if q not in rows:
+                    rows[q] = tuple(row[table_h[g]] for table_h in self.table)
+            row = rows[p]
+        return row
 
     def orbit(self, subgroup, a: FieldElem):
         """The set {g(a) : g in subgroup}, sorted canonically."""

@@ -14,6 +14,7 @@ which is identical.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import ContextMismatch, NotDominant
@@ -50,6 +51,19 @@ class LWeight:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "factors", clean)
+
+    @classmethod
+    def _unchecked(cls, ctx, rs, factors):
+        """An l-weight on factors whose validity is inherited: nonzero int
+        exponents at in-range nodes and distinct nonzero points of L.  Only
+        for products, powers and conjugates of validated l-weights (an
+        automorphism maps distinct nonzero points to distinct nonzero
+        points); callers build everything else through ``LWeight(...)``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "factors", factors)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LWeight is immutable")
@@ -112,13 +126,15 @@ class LWeight:
         merged = dict(self.factors)
         for key, e in other.factors.items():
             merged[key] = merged.get(key, 0) + e
-        return LWeight(self.ctx, self.rs, merged)
+        return LWeight._unchecked(self.ctx, self.rs, {k: e for k, e in merged.items() if e})
 
     def inverse(self) -> "LWeight":
-        return LWeight(self.ctx, self.rs, {k: -e for k, e in self.factors.items()})
+        return LWeight._unchecked(self.ctx, self.rs, {k: -e for k, e in self.factors.items()})
 
     def __pow__(self, n: int) -> "LWeight":
-        return LWeight(self.ctx, self.rs, {k: n * e for k, e in self.factors.items()})
+        n = operator.index(n)
+        return LWeight._unchecked(
+            self.ctx, self.rs, {k: n * e for k, e in self.factors.items()} if n else {})
 
     # -- classification data
 
@@ -140,20 +156,30 @@ class LWeight:
 
     # -- Galois action
 
+    def _rows(self):
+        """(node, point images under G, exponent) for every factor."""
+        images = self.ctx.point_images
+        return [(node, images(point), e) for (node, point), e in self.factors.items()]
+
+    def _relabel(self, rows, g) -> "LWeight":
+        return LWeight._unchecked(self.ctx, self.rs, {(node, row[g]): e for node, row, e in rows})
+
     def conjugate(self, g: int) -> "LWeight":
-        """Pointwise action of group element g (a group homomorphism)."""
-        return LWeight(
-            self.ctx, self.rs,
-            {(node, self.ctx.apply(g, point)): e for (node, point), e in self.factors.items()},
-        )
+        """Pointwise action of group element g (a group homomorphism): a
+        relabeling of the points through the context's point table."""
+        return self._relabel(self._rows(), g)
 
     def stabilizer(self):
-        """Elements of H fixing this l-weight as a functional."""
-        return tuple(h for h in self.ctx.subgroup if self.conjugate(h) == self)
+        """Elements of H fixing this l-weight as a functional: those mapping
+        every factor onto a factor with the same exponent."""
+        rows, factors = self._rows(), self.factors
+        return tuple(h for h in self.ctx.subgroup
+                     if all(factors.get((node, row[h])) == e for node, row, e in rows))
 
     def conjugacy_class(self):
         """(orbit under H sorted by key, degree = orbit size)."""
-        orbit = {self.conjugate(h) for h in self.ctx.subgroup}
+        rows = self._rows()
+        orbit = {self._relabel(rows, h) for h in self.ctx.subgroup}
         members = tuple(sorted(orbit, key=LWeight.sort_key))
         return members, len(members)
 
@@ -180,7 +206,8 @@ class LWeight:
         for point in self.points():
             if point in seen:
                 continue
-            orbit = self.ctx.orbit(self.ctx.subgroup, point)
+            images = self.ctx.point_images(point)
+            orbit = sorted({images[h] for h in self.ctx.subgroup})
             seen.update(orbit)
             profile = self.point_weight(orbit[0])
             if all(self.point_weight(p) == profile for p in orbit[1:]):

@@ -34,6 +34,12 @@ def _sym_str(sym):
     return "h[%s]" % ",".join(str(x) for x in sym[1:])
 
 
+def _sym_key(sym):
+    """Print order of symbols: the tuple order, with int alpha tags before
+    str tags, so symbols with both kinds of tag can share one polynomial."""
+    return tuple((isinstance(x, str), x) for x in sym)
+
+
 def _mono_mul(m1, m2):
     if not m1:
         return m2
@@ -153,8 +159,10 @@ class SymPoly:
             return "0"
         pieces = []
         monos = sorted(
-            ((tuple(sorted(m)), c) for m, c in self.terms.items()),
-            key=lambda mc: (sum(e for _, e in mc[0]), mc[0]),
+            ((tuple(sorted(m, key=lambda se: _sym_key(se[0]))), c)
+             for m, c in self.terms.items()),
+            key=lambda mc: (sum(e for _, e in mc[0]),
+                            tuple((_sym_key(s), e) for s, e in mc[0])),
         )
         for mono, c in monos:
             body = "*".join(

@@ -43,6 +43,38 @@ def zeta8():
     return cyclotomic_context(8)
 
 
+CONTEXTS = ("qi", "cyclo5", "cyclo5_half", "zeta7", "zeta8")
+ROOT_SYSTEMS = ("a1", "a2")
+
+
+@pytest.fixture(scope="session")
+def settings_by_name(qi, cyclo5, cyclo5_half, zeta8, a1, a2):
+    """Contexts and root systems of the property tests, by fixture name;
+    zeta7 is the 7th cyclotomic field with H the full group of order 6."""
+    return {"qi": qi, "cyclo5": cyclo5, "cyclo5_half": cyclo5_half,
+            "zeta7": cyclotomic_context(7), "zeta8": zeta8, "a1": a1, "a2": a2}
+
+
+S3_MODULUS = [9, 9, 0, 3, 6, 3, 1]
+S3_IMAGES = [
+    [0, 1, 0, 0, 0, 0],
+    [-1, 0, Fraction(4, 3), 0, 0, Fraction(-1, 9)],
+    [-5, -1, Fraction(2, 3), -2, -1, Fraction(-5, 9)],
+    [3, 1, Fraction(-4, 3), Fraction(4, 3), Fraction(2, 3), Fraction(4, 9)],
+    [2, 0, 0, Fraction(4, 3), Fraction(2, 3), Fraction(1, 3)],
+    [-2, -1, Fraction(-2, 3), Fraction(-2, 3), Fraction(-1, 3), Fraction(-1, 9)],
+]
+
+
+def s3_context(subgroup=None):
+    """The splitting field of x^3 - 2 as Q(theta), theta = 2^(1/3) + omega
+    with omega a primitive cube root of unity: a Galois group S3, so the
+    composition table is not symmetric.  The images send (2^(1/3), omega)
+    to (omega^s 2^(1/3), omega^t) for (s, t) = (0, 1), (1, 1), (2, 1),
+    (0, 2), (1, 2), (2, 2); H = [0, 3] has fixed field Q(2^(1/3))."""
+    return build_context(PolyQ(S3_MODULUS), [PolyQ(p) for p in S3_IMAGES], subgroup)
+
+
 @pytest.fixture(scope="session")
 def kernel_contexts():
     """Fields for the arithmetic-kernel property tests, by name.

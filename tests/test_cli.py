@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looprep import LWeight, cli, lambda_from_h, root_system, tp_irreducible_criterion
 from looprep.cli import main, run
@@ -349,3 +357,109 @@ class TestMalformedRecords:
             "p": [{"node": 1, "point": [0, 1], "exp": 1}],
         })
         assert rep["results"][0]["result"]["degree"] == 2
+
+
+# --- fuzzed job files ---------------------------------------------------------
+
+def readme_job():
+    """The example job file of the README."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return json.loads(re.search(r"```json\n(\{.*?\n\})\n```", text, re.S).group(1))
+
+
+# replacement values: valid, invalid and wrongly typed, none of them large
+# enough to make a command slow
+FIELD_VALUES = {
+    "modulus": [["1", "0", "2"], ["-1", "0", "1"], ["0", "0", "1"], ["1"], [],
+                ["1", "0", "1", "0"], ["x"], "1", [None], ["1/0"], [True], [1, 0, 1]],
+    "automorphisms": [[["0", "1"]], [["0", "1"], ["0", "1"]], [["0", "1"], ["1", "-1"]],
+                      [["0", "1"], ["0", "-1"], ["0", "2"]], [], "x", [["0", "1"], 3],
+                      [["0", "1"], ["0", "-1/2"]]],
+    "subgroup": [[0], [1], [0, 1, 2], [], [-1], [0, 0, 1], "x", [True], None, [1.5]],
+}
+RECORD_VALUES = {
+    "node": [0, 1, 2, -1, "1", 1.5, None, True, 10 ** 30],
+    "point": [["0"], ["0", "0"], ["1/0"], ["x"], [1, 2], ["0", "1", "2"], 5, [],
+              ["3/2", "-1/3"], ["2"], ["0", "-1"]],
+    "exp": [-1, 0, 1, 2, 3, "1", 1.5, None, True, -10 ** 30],
+}
+TOKENS = ["p", "q", "pc", "nosuch", "", "1", "-1", "0", "4", "1,1", "1,1,1", "A1", "A2",
+          "G2", "B2", "Z9", "E8", "--node", "--index", "--order", "--max-steps", "--type",
+          "--bogus", "2", "12", "13", "16", "17", "3/2", "x", "tensor", "blocks"]
+
+
+def mutate_field(data, job):
+    key = data.draw(st.sampled_from(sorted(FIELD_VALUES)))
+    if data.draw(st.booleans()):
+        job["field"].pop(key, None)
+    else:
+        job["field"][key] = copy.deepcopy(data.draw(st.sampled_from(FIELD_VALUES[key])))
+
+
+def mutate_record(data, job):
+    records = job["lweights"][data.draw(st.sampled_from(sorted(job["lweights"])))]
+    action = data.draw(st.sampled_from(["set", "drop", "add", "replace"]))
+    if action == "add" or not records or not isinstance(records[0], dict):
+        records.append({"node": 1, "point": ["0", "3"], "exp": 1})
+    elif action == "replace":
+        records[0] = data.draw(st.sampled_from([None, 5, "x", [], {}]))
+    else:
+        key = data.draw(st.sampled_from(sorted(RECORD_VALUES)))
+        if action == "drop":
+            records[0].pop(key, None)
+        else:
+            records[0][key] = copy.deepcopy(data.draw(st.sampled_from(RECORD_VALUES[key])))
+
+
+def mutate_command(data, job):
+    commands = job["commands"]
+    index = data.draw(st.integers(0, len(commands) - 1))
+    tokens = commands[index].split() if isinstance(commands[index], str) else []
+    action = data.draw(st.sampled_from(["replace", "insert", "drop", "whole"]))
+    if action == "whole":
+        commands[index] = data.draw(st.sampled_from([5, None, [], [1, "p"], ["lw-info", "p"]]))
+        return
+    position = data.draw(st.integers(0, len(tokens)))
+    if action == "drop":
+        del tokens[position:position + 1]
+    else:
+        token = data.draw(st.sampled_from(TOKENS))
+        if action == "replace" and position < len(tokens):
+            tokens[position] = token
+        else:
+            tokens.insert(position, token)
+    commands[index] = " ".join(tokens)
+
+
+class TestFuzzedJobs:
+    """The README job with mutated field, l-weight records and command
+    tokens keeps the CLI contract: exit 0, 1 or 2 and never a traceback."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(data=st.data())
+    def test_contract_holds(self, data):
+        job = readme_job()
+        picked = data.draw(st.lists(st.sampled_from(job["commands"]), min_size=1, max_size=3))
+        job["commands"] = picked
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutate = data.draw(st.sampled_from([mutate_field, mutate_record, mutate_command]))
+            mutate(data, job)
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "job.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(job, fh)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(path, json_path=os.path.join(tmp, "report.json"))
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            assert (code == 0) == os.path.exists(os.path.join(tmp, "report.json"))
+            assert (code == 0) == (err.getvalue() == "")
+
+    def test_readme_job_runs(self, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(readme_job()))
+        assert run(str(path), quiet=True) == 0

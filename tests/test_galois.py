@@ -1,8 +1,10 @@
+import importlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from conftest import KERNEL_CONTEXTS, field_elements
+from conftest import CONTEXTS, KERNEL_CONTEXTS, field_elements, s3_context
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,8 @@ from looprep.errors import (
     NotSquareFree,
     WrongOrder,
 )
+
+galois_module = importlib.import_module("looprep.galois")
 
 
 class TestBuildContext:
@@ -259,3 +263,49 @@ class TestContextData:
         assert ctx.k_basis == ctx.fixed_space_basis(ctx.subgroup)
         assert len(ctx.k_basis) == ctx.k_degree
         assert all(ctx.apply(h, v) == v for v in ctx.k_basis for h in ctx.subgroup)
+
+
+# --- the table of spectral points ---------------------------------------------
+
+class TestPointTable:
+    def test_s3_is_not_abelian(self):
+        ctx = s3_context()
+        assert ctx.order == 6 and ctx.k_degree == 1
+        assert any(ctx.compose(g, h) != ctx.compose(h, g)
+                   for g in ctx.full_group for h in ctx.full_group)
+        assert s3_context([0, 3]).k_degree == 3
+
+    @pytest.mark.parametrize("name", CONTEXTS + ("s3",))
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_rows_are_the_images(self, settings_by_name, name, data):
+        # a context equal to the fixture but with an empty table, so the
+        # first point's orbit is filled here and its other members' rows
+        # come from the composition table, with no sparse product; s3 has
+        # a non-symmetric table, so composing in the wrong order shows
+        ctx = s3_context() if name == "s3" else context_from_json(
+            settings_by_name[name].to_json())
+        p = data.draw(field_elements(ctx.field).filter(bool))
+        row = ctx.point_images(p)
+        assert row == tuple(ctx.apply(g, p) for g in ctx.full_group)
+        expected = {q: tuple(ctx.apply(g, q) for g in ctx.full_group) for q in row}
+        with mock.patch.object(galois_module, "_act", side_effect=AssertionError("recomputed")):
+            for q in row:
+                assert ctx.point_images(q) == expected[q]
+        assert len(ctx._point_rows) == len(set(row))
+
+    def test_apply_leaves_the_table_alone(self, zeta8):
+        theta = zeta8.field.gen
+        zeta8.point_images(theta)
+        size = len(zeta8._point_rows)
+        for g in zeta8.full_group:
+            zeta8.apply(g, theta * theta + 7)
+        assert len(zeta8._point_rows) == size
+
+    def test_equality_ignores_the_table(self):
+        a, b = cyclotomic_context(5), cyclotomic_context(5)
+        a.point_images(a.field.gen)
+        b.point_images(b.field.scalar(3))
+        assert a._point_rows != b._point_rows
+        assert a == b and hash(a) == hash(b)
+        assert a != cyclotomic_context(5, [0, 3])

@@ -50,6 +50,13 @@ class TestGroupStructure:
         with pytest.raises(ContextMismatch):
             a * b
 
+    def test_powers(self, qi, a1, iu):
+        assert iu ** 0 == LWeight.identity(qi, a1) and (iu ** 0).factors == {}
+        assert (iu ** -2).factors == {(0, qi.field.gen): -2}
+        assert iu ** 3 == iu * iu * iu
+        with pytest.raises(TypeError):
+            iu ** 1.5
+
     def test_group_laws_randomized(self, qi, a2):
         rng = random.Random(67)
         for _ in range(15):
@@ -112,6 +119,14 @@ class TestConjugacy:
     def test_rational_points_fixed(self, qi, a1):
         lw = LWeight.single(qi, a1, 0, qi.field.scalar(7))
         assert lw.degree() == 1
+
+    def test_swapped_exponents_are_not_fixed(self, qi, a1):
+        # conjugation maps the support {i, -i} onto itself but moves the
+        # exponents, so only the identity fixes the l-weight
+        i = qi.field.gen
+        lw = LWeight(qi, a1, {(0, i): 1, (0, -i): 2})
+        assert lw.stabilizer() == (0,)
+        assert lw.degree() == 2
 
     def test_orbit_stabilizer(self, cyclo5, a2):
         rng = random.Random(73)

@@ -192,6 +192,13 @@ class TestMixedTags:
         assert (x + y) * (x - y) == x * x - y * y
         assert (x * y).substitute({h_symbol(1, 1): y}) == y * y
 
+    def test_printing_int_and_str_tags(self):
+        # printing sorts symbols with int tags before str tags
+        x = SymPoly.var(h_symbol(1, 1))
+        y = SymPoly.var(h_symbol("a", 1))
+        assert str(x * y) == str(y * x) == "h[1,1]*h[a,1]"
+        assert str(y * y + x * y + 2 * x + y) == "(2)*h[1,1] + h[a,1] + h[1,1]*h[a,1] + h[a,1]^2"
+
 
 class TestTwist:
     def test_identity_twist(self):

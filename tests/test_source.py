@@ -51,3 +51,24 @@ def test_series_sorts_only_to_print():
             printing |= sorted_calls(node)
     assert printing
     assert ["series.py:%d" % node.lineno for node in sorted_calls(tree) - printing] == []
+
+
+def attribute_calls(attr):
+    """'module:line' of every call of a method or class method named attr."""
+    return ["%s:%d" % (name, node.lineno) for name, node in library_nodes()
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr]
+
+
+def test_lweight_layer_conjugates_through_the_point_table():
+    # conjugates, stabilizers, class keys and translates relabel points
+    # through GaloisContext.point_images; apply is for one-off elements
+    layer = ("lweights.py", "blocks.py", "classify.py")
+    assert [c for c in attribute_calls("apply") if c.split(":")[0] in layer] == []
+
+
+def test_unchecked_constructor_stays_private():
+    # only products, powers, conjugates and F-level constituents, whose
+    # validity is inherited from validated l-weights, skip the checks
+    callers = {c.split(":")[0] for c in attribute_calls("_unchecked")}
+    assert callers == {"lweights.py", "classify.py"}
