@@ -45,15 +45,19 @@ from .series import (
 SCHEMA_VERSION = 1
 
 # Upper bounds on the work a job may ask for: a larger --max-steps, --order,
-# Lie-type rank or series-check rank times order makes the job malformed.
-# The link-chain search grows like steps^rank (16 steps in E8 take seconds),
-# building a root system steeply with the rank (A80 takes seconds; rank 8
-# covers E8), and the series suite steeply with rank and order (2-CPU machine:
-# F4 at order 9, the slowest within 36, 4 s; E8 at 5, 7 s; B3 at 14, 8 s).
+# Lie-type rank, series-check rank times order or field degree makes the job
+# malformed.  The link-chain search grows like steps^rank (16 steps in E8
+# take seconds), building a root system steeply with the rank (A80 takes
+# seconds; rank 8 covers E8), the series suite steeply with rank and order
+# (2-CPU machine: F4 at order 9, the slowest within 36, 4 s; E8 at 5, 7 s;
+# B3 at 14, 8 s), and the field work of a job steeply with the degree (the
+# README's commands over zeta35, degree 24, 1.0 s; zeta51, degree 32, 1.9 s;
+# zeta41, degree 40, 3.2 s; zeta69, degree 44, 5.0 s).
 MAX_STEPS = 16
 MAX_ORDER = 12
 MAX_RANK = 8
 MAX_RANK_ORDER = 36
+MAX_DEGREE = 32
 
 
 class JobError(Exception):
@@ -108,10 +112,13 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_rationals(coeffs, what):
-    """A JSON array of rational coefficients: ints or strings like "-3/2"."""
+def _check_rationals(coeffs, what, most):
+    """A JSON array of at most ``most`` rational coefficients: ints or
+    strings like "-3/2"."""
     if not isinstance(coeffs, list):
         raise JobError("%s must be an array" % what)
+    if len(coeffs) > most:
+        raise JobError("%s has %d coefficients, above %d" % (what, len(coeffs), most))
     for c in coeffs:
         if not (_is_int(c) or isinstance(c, str)):
             raise JobError("%s has a non-rational entry %r" % (what, c))
@@ -127,11 +134,14 @@ def _check_field(field):
     for key in ("modulus", "automorphisms"):
         if key not in field:
             raise JobError("field misses %r" % key)
-    _check_rationals(field["modulus"], "modulus")
+    _check_rationals(field["modulus"], "modulus", MAX_DEGREE + 1)
     if not isinstance(field["automorphisms"], list):
         raise JobError("automorphisms must be an array")
+    if len(field["automorphisms"]) > MAX_DEGREE:
+        raise JobError("%d automorphisms, above the degree bound %d"
+                       % (len(field["automorphisms"]), MAX_DEGREE))
     for k, image in enumerate(field["automorphisms"]):
-        _check_rationals(image, "automorphism %d" % k)
+        _check_rationals(image, "automorphism %d" % k, MAX_DEGREE)
     subgroup = field.get("subgroup")
     if subgroup is not None and not (
         isinstance(subgroup, list) and all(_is_int(i) for i in subgroup)
@@ -158,7 +168,7 @@ def _check_lweights(lweights):
             if not _is_int(rec["exp"]):
                 raise JobError("l-weight %r: exponent %r is not an integer"
                                % (name, rec["exp"]))
-            _check_rationals(rec["point"], "point of l-weight %r" % name)
+            _check_rationals(rec["point"], "point of l-weight %r" % name, MAX_DEGREE)
 
 
 class Job:

@@ -214,13 +214,16 @@ def build_context(modulus, aut_images, subgroup=None) -> GaloisContext:
             if table[g][h] not in sub_set:
                 raise BadSubgroup("subgroup is not closed under composition")
 
-    if len(_fixed_space_basis(field, aut_columns, range(n))) != 1:
+    # a group fixes what its generators fix: their rows of M_g - I span the
+    # same row space as those of all its elements, so the basis is the same
+    if len(_fixed_space_basis(field, aut_columns, _generators(table, range(n)))) != 1:
         raise FixedFieldTooBig("fixed space of the full group has dimension > 1")
-    k_basis = _fixed_space_basis(field, aut_columns, subgroup)
+    generators = _generators(table, subgroup)
+    k_basis = _fixed_space_basis(field, aut_columns, generators)
     if len(k_basis) != n // len(subgroup):
         raise FixedFieldTooBig("fixed space of H has dimension != |G|/|H|")
     return GaloisContext(field, images, aut_columns, table, subgroup, k_basis,
-                         _generators(table, subgroup))
+                         generators)
 
 
 def _fixed_space_basis(field, aut_columns, subgroup):

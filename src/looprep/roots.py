@@ -104,7 +104,7 @@ class RootSystem:
     __slots__ = (
         "lie_type", "rank", "cartan", "lengths", "positive_roots",
         "cartan_inv", "snf", "highest_root", "_height_row", "_height_den",
-        "_mult_cache", "_cache_lock",
+        "_root_table",
     )
 
     def __init__(self, lie_type: str):
@@ -129,8 +129,12 @@ class RootSystem:
             self, "_height_row", tuple(int(c * den) for c in columns)
         )
         object.__setattr__(self, "_height_den", den)
-        object.__setattr__(self, "_mult_cache", {})
-        object.__setattr__(self, "_cache_lock", Lock())
+        # per positive root alpha: its fundamental coordinates, and the
+        # integers d_i * alpha_i, so that (nu, alpha) = sum_i d_i alpha_i nu_i
+        object.__setattr__(self, "_root_table", tuple(
+            (self.root_to_fund(root), tuple(d * a for d, a in zip(self.lengths, root)))
+            for root in self.positive_roots
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("RootSystem is immutable")
@@ -165,6 +169,8 @@ class RootSystem:
         return all(x >= 0 for x in weight)
 
     def _check_dominant(self, weight):
+        if len(weight) != self.rank:
+            raise NotDominant("weight %r does not have rank %d" % (weight, self.rank))
         if not self.is_dominant(weight):
             raise NotDominant("weight %r is not dominant" % (weight,))
 
@@ -188,13 +194,6 @@ class RootSystem:
         """Sum of simple-root coordinates."""
         return Fraction(self._height_num(weight), self._height_den)
 
-    def _form_with_root(self, weight, root):
-        """(weight, alpha) with alpha in simple-root coordinates."""
-        return sum(
-            (self.lengths[i] * root[i] * weight[i] for i in range(self.rank)),
-            Fraction(0),
-        )
-
     def reflect(self, i: int, weight):
         """Simple reflection s_i on a fundamental-coordinate weight."""
         v = weight[i]
@@ -212,132 +211,127 @@ class RootSystem:
     # -- coroot data
 
     def coroot_coeffs(self, root):
-        """Coefficients of the coroot of a positive root on the simple coroots."""
+        """Coefficients 2 d_i alpha_i / (alpha, alpha) of the coroot of a
+        positive root on the simple coroots."""
         root = tuple(root)
         if root not in self.positive_roots:
             raise NotARoot("%r is not a positive root of %s" % (root, self.lie_type))
-        norm = self._form_with_root(self.root_to_fund(root), root)  # (alpha, alpha)
-        d_alpha = norm / 2
+        fund, dual = self._root_table[self.positive_roots.index(root)]
+        norm = sum(x * y for x, y in zip(dual, fund))  # (alpha, alpha)
         out = []
-        for i in range(self.rank):
-            v = Fraction(self.lengths[i]) * root[i] / d_alpha
-            if v.denominator != 1:
+        for x in dual:
+            q, r = divmod(2 * x, norm)
+            if r:
                 raise RootDataInconsistency(
-                    "coroot of %r has a non-integral coefficient %s" % (root, v)
+                    "coroot of %r has a non-integral coefficient %d/%d" % (root, 2 * x, norm)
                 )
-            out.append(int(v))
+            out.append(q)
         return tuple(out)
 
     # -- dimensions and multiplicities
 
     def weyl_dim(self, weight) -> int:
-        """Dimension of the irreducible module with the given highest weight."""
+        """Dimension of the irreducible module with the given highest weight:
+        the product of (weight + rho, alpha) / (rho, alpha) over the positive
+        roots, as one exact division of integer products."""
         self._check_dominant(weight)
-        dim = Fraction(1)
-        for root in self.positive_roots:
-            num = sum(self.lengths[i] * root[i] * (weight[i] + 1) for i in range(self.rank))
-            den = sum(self.lengths[i] * root[i] for i in range(self.rank))
-            dim *= Fraction(num, den)
-        if dim.denominator != 1:
+        num = den = 1
+        for _, dual in self._root_table:
+            num *= sum(x * (w + 1) for x, w in zip(dual, weight))
+            den *= sum(dual)
+        dim, r = divmod(num, den)
+        if r:
             raise RootDataInconsistency(
-                "Weyl dimension of %r is not integral: %s" % (weight, dim)
+                "Weyl dimension of %r is not integral: %d/%d" % (weight, num, den)
             )
-        return int(dim)
-
-    def _all_weights(self, top):
-        """Every weight of the irreducible module, by walking root strings."""
-        seen = {top}
-        stack = [top]
-        while stack:
-            mu = stack.pop()
-            for i in range(self.rank):
-                m = mu[i]
-                for k in range(1, m + 1):
-                    nu = tuple(mu[j] - k * self.cartan[j][i] for j in range(self.rank))
-                    if nu not in seen:
-                        seen.add(nu)
-                        stack.append(nu)
-        return seen
+        return dim
 
     def weight_mults(self, weight):
-        """Full weight-multiplicity map of the irreducible module (Freudenthal).
+        """Full weight-multiplicity map of V(weight): a new dict from
+        fundamental-coordinate tuples to positive ints.
 
-        Returns a dict from fundamental-coordinate tuples to positive ints.
+        Dominant weights first (Moody-Patera): subtracting positive roots
+        while staying dominant reaches every dominant mu <= lambda
+        (Stembridge) and gives the simple-root coordinates c of lambda - mu.
+        Freudenthal's formula then runs on integers in order of sum(c):
+        m(mu) is 2 sum_{alpha>0, k>=1} m(mu + k alpha) (mu + k alpha, alpha)
+        over (lambda + mu + 2 rho, lambda - mu) = sum_i c_i d_i (lambda_i +
+        mu_i + 2).  Each m(mu) goes at once to the whole Weyl orbit of mu,
+        walked down by s_i at positive coordinates, so m(mu + k alpha) is a
+        dict lookup: its dominant representative lies above mu.  A
+        non-positive denominator, a remainder or a non-positive multiplicity
+        raises RootDataInconsistency.
         """
-        weight = tuple(weight)
-        self._check_dominant(weight)
-        with self._cache_lock:
-            cached = self._mult_cache.get(weight)
-        if cached is not None:
-            return dict(cached)
-
-        all_weights = self._all_weights(weight)
-        lam_rho = tuple(x + 1 for x in weight)
-        top_norm = self._form_with_root(lam_rho, self.fund_to_root(lam_rho))
-        roots_fund = [self.root_to_fund(r) for r in self.positive_roots]
-        top_height = self._height_num(weight)
-
-        def depth(mu):
-            d, r = divmod(top_height - self._height_num(mu), self._height_den)
-            if r:
-                raise RootDataInconsistency(
-                    "%r - %r is not in the root lattice" % (weight, mu)
-                )
-            return d
-
-        dominants = sorted(
-            (mu for mu in all_weights if self.is_dominant(mu)),
-            key=depth,
-        )
+        lam = tuple(weight)
+        self._check_dominant(lam)
+        simple = [tuple(row[i] for row in self.cartan) for i in range(self.rank)]
+        c = {lam: (0,) * self.rank}
+        stack = [lam]
+        while stack:
+            mu = stack.pop()
+            for root, (fund, _) in zip(self.positive_roots, self._root_table):
+                nu = tuple(x - y for x, y in zip(mu, fund))
+                if nu not in c and min(nu) >= 0:
+                    c[nu] = tuple(x + y for x, y in zip(c[mu], root))
+                    stack.append(nu)
         mults = {}
-        for mu in dominants:
-            if mu == weight:
-                mults[mu] = 1
-                continue
-            acc = Fraction(0)
-            for root, root_fund in zip(self.positive_roots, roots_fund):
-                k = 1
-                while True:
-                    nu = tuple(mu[i] + k * root_fund[i] for i in range(self.rank))
-                    if nu not in all_weights:
-                        break
-                    acc += mults[self.dominant_representative(nu)] * \
-                        self._form_with_root(nu, root)
-                    k += 1
-            mu_rho = tuple(x + 1 for x in mu)
-            denom = top_norm - self._form_with_root(mu_rho, self.fund_to_root(mu_rho))
-            val = 2 * acc / denom
-            if val.denominator != 1 or val <= 0:
-                raise RootDataInconsistency(
-                    "Freudenthal gives multiplicity %s for %r in V(%r)" % (val, mu, weight)
-                )
-            mults[mu] = int(val)
-
-        full = {mu: mults[self.dominant_representative(mu)] for mu in all_weights}
-        with self._cache_lock:
-            self._mult_cache[weight] = dict(full)
-        return full
+        for mu in sorted(c, key=lambda nu: sum(c[nu])):
+            m = 1
+            if mu != lam:
+                num = 0
+                for fund, dual in self._root_table:
+                    nu = tuple(x + y for x, y in zip(mu, fund))
+                    while nu in mults:
+                        num += mults[nu] * sum(x * y for x, y in zip(dual, nu))
+                        nu = tuple(x + y for x, y in zip(nu, fund))
+                den = sum(ci * d * (x + y + 2) for ci, d, x, y
+                          in zip(c[mu], self.lengths, lam, mu))
+                m, r = divmod(2 * num, den) if den > 0 else (0, 0)
+                if r or m <= 0:
+                    raise RootDataInconsistency(
+                        "Freudenthal gives multiplicity %d/%d for %r in V(%r)"
+                        % (2 * num, den, mu, lam)
+                    )
+            mults[mu] = m
+            orbit = [mu]
+            while orbit:
+                nu = orbit.pop()
+                for x, alpha in zip(nu, simple):
+                    if x > 0:
+                        image = tuple(y - x * a for y, a in zip(nu, alpha))
+                        if image not in mults:
+                            mults[image] = m
+                            orbit.append(image)
+        return mults
 
     # -- tensor products
 
     def tensor_decompose(self, left, right):
-        """Decomposition of V(left) (x) V(right) into highest weights.
-
-        Brauer-Klimyk (Racah-Speiser) formula: with V(right) the smaller
-        module, every weight nu of V(right) of multiplicity m contributes
-        sign(w) * m copies of V(w(left + nu + rho) - rho), where w carries
-        left + nu + rho into the dominant chamber; weights that land on a
-        wall contribute nothing.  Returns a list of (dominant weight,
-        multiplicity), sorted descending by (height, weight).
-        """
+        """Decomposition of V(left) (x) V(right) into highest weights, by
+        Brauer-Klimyk over the weights of the factor of smaller dimension: a
+        list of (dominant weight, multiplicity), sorted descending by
+        (height, weight)."""
         left, right = tuple(left), tuple(right)
         self._check_dominant(left)
         self._check_dominant(right)
         if self.weyl_dim(right) > self.weyl_dim(left):
             left, right = right, left
+        return self._brauer_klimyk(left, self.weight_mults(right))
+
+    def _brauer_klimyk(self, left, mults):
+        """Decomposition of V(left) (x) M, for M given by its weight
+        multiplicities.
+
+        Brauer-Klimyk (Racah-Speiser) formula: every weight nu of M of
+        multiplicity m contributes sign(w) * m copies of
+        V(w(left + nu + rho) - rho), where w carries left + nu + rho into the
+        dominant chamber; weights that land on a wall contribute nothing.
+        The formula holds whichever factor is larger; a smaller M is only
+        cheaper.  Sorted descending by (height, weight).
+        """
         shift = [x + 1 for x in left]
         coeffs = {}
-        for nu, m in self.weight_mults(right).items():
+        for nu, m in mults.items():
             gamma = tuple(a + b for a, b in zip(shift, nu))
             # reflect at a negative coordinate until none is left; a zero
             # coordinate means gamma is fixed by a reflection, so on a wall
@@ -353,8 +347,8 @@ class RootSystem:
         for top, mult in coeffs.items():
             if mult < 0:
                 raise RootDataInconsistency(
-                    "V(%r) has multiplicity %d in V(%r) (x) V(%r)"
-                    % (top, mult, left, right)
+                    "V(%r) has multiplicity %d in a tensor product with V(%r)"
+                    % (top, mult, left)
                 )
             if mult:
                 parts.append((top, mult))
@@ -382,23 +376,25 @@ class RootSystem:
 
     def directly_linked(self, lam, mu) -> bool:
         """Whether V(mu) occurs inside (adjoint module) (x) V(lam)."""
-        self._check_dominant(lam)
         self._check_dominant(mu)
-        adjoint = self.root_to_fund(self.highest_root)
-        return tuple(mu) in {w for w, _ in self.tensor_decompose(adjoint, lam)}
+        return tuple(mu) in self.link_neighbors(lam)
 
     def link_neighbors(self, weight):
         """Dominant weights directly linked to the given one, sorted."""
-        adjoint = self.root_to_fund(self.highest_root)
-        return sorted(w for w, _ in self.tensor_decompose(adjoint, weight))
+        weight = tuple(weight)
+        self._check_dominant(weight)
+        adjoint = self.weight_mults(self.root_to_fund(self.highest_root))
+        return sorted(w for w, _ in self._brauer_klimyk(weight, adjoint))
 
     def link_chain(self, lam, mu, max_steps: int = 8):
         """Chain mu = w_0, ..., w_m = lam of consecutively linked dominants.
 
         Breadth-first search bounded by max_steps levels and by the height
-        bound max(ht(lam), ht(mu)) + ht(highest root) * max_steps.  Raises
-        NotSameClass when no chain can exist and SearchExhausted when the
-        bounds are hit; the latter is not a claim of non-existence.
+        bound max(ht(lam), ht(mu)) + ht(highest root) * max_steps.  The
+        adjoint module's multiplicity map is computed once per search, and
+        each step is one Brauer-Klimyk pass with it.  Raises NotSameClass
+        when no chain can exist and SearchExhausted when the bounds are hit;
+        the latter is not a claim of non-existence.
         """
         lam, mu = tuple(lam), tuple(mu)
         self._check_dominant(lam)
@@ -409,15 +405,17 @@ class RootSystem:
             )
         if lam == mu:
             return [mu]
-        bound = max(self.height(lam), self.height(mu)) + \
-            self.height(self.root_to_fund(self.highest_root)) * max_steps
+        theta = self.root_to_fund(self.highest_root)
+        adjoint = self.weight_mults(theta)
+        bound = max(self._height_num(lam), self._height_num(mu)) + \
+            self._height_num(theta) * max_steps
         parent = {mu: None}
         frontier = [mu]
         for _ in range(max_steps):
             next_frontier = []
             for w in frontier:
-                for nb in self.link_neighbors(w):
-                    if nb in parent or self.height(nb) > bound:
+                for nb in sorted(nb for nb, _ in self._brauer_klimyk(w, adjoint)):
+                    if nb in parent or self._height_num(nb) > bound:
                         continue
                     parent[nb] = w
                     if nb == lam:

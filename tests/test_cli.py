@@ -279,6 +279,38 @@ class TestExitCodes:
         rep = run_json(tmp_path, ["series-check --order 6 --type A6"])
         assert rep["results"][0]["result"]["allPassed"]
 
+    @pytest.mark.parametrize("part", ["modulus", "automorphisms", "image", "point"])
+    def test_degree_above_the_bound_is_malformed(self, tmp_path, capsys, monkeypatch,
+                                                 part):
+        # the job is rejected before any field context is built
+        monkeypatch.setattr(cli, "context_from_json",
+                            lambda data: pytest.fail("context built"))
+        too_long = ["0"] * cli.MAX_DEGREE + ["1"]
+        field = copy.deepcopy(GAUSSIAN_FIELD)
+        lweights = {"p": [{"node": 1, "point": ["0", "1"], "exp": 1}]}
+        if part == "modulus":
+            field["modulus"] = ["1"] + too_long
+        elif part == "automorphisms":
+            field["automorphisms"] += [["0", "1"]] * cli.MAX_DEGREE
+        elif part == "image":
+            field["automorphisms"][1] = too_long
+        else:
+            lweights["p"][0]["point"] = too_long
+        job = write_job(tmp_path, ["validate-field"], lweights=lweights, field=field)
+        assert run(str(job), quiet=True) == 2
+        err = capsys.readouterr().err
+        assert "malformed job file" in err and "above" in err
+        assert "Traceback" not in err
+
+    def test_degree_bound_is_inclusive(self, tmp_path):
+        # a modulus of degree MAX_DEGREE padded to the bound still validates
+        assert cli.MAX_DEGREE == 32
+        field = copy.deepcopy(GAUSSIAN_FIELD)
+        field["modulus"] += ["0"] * (cli.MAX_DEGREE + 1 - len(field["modulus"]))
+        field["automorphisms"][1] += ["0"] * (cli.MAX_DEGREE - 2)
+        rep = run_json(tmp_path, ["validate-field"], field=field)
+        assert rep["results"][0]["result"]["groupOrder"] == 2
+
     def test_bounds_cover_the_documented_values(self, tmp_path):
         assert cli.MAX_STEPS >= 8 and cli.MAX_ORDER >= 10
         rep = run_json(tmp_path, ["link-chain A1 4 0 --max-steps %d" % cli.MAX_STEPS])

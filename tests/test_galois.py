@@ -264,6 +264,13 @@ class TestContextData:
         assert len(ctx.k_basis) == ctx.k_degree
         assert all(ctx.apply(h, v) == v for v in ctx.k_basis for h in ctx.subgroup)
 
+    @pytest.mark.parametrize("subgroup", [None, [0], [0, 3], [0, 1, 2]])
+    def test_k_basis_over_s3(self, subgroup):
+        # build_context solves for K with the rows of generators of H only
+        ctx = s3_context(subgroup)
+        assert ctx.k_basis == ctx.fixed_space_basis(ctx.subgroup)
+        assert len(ctx.fixed_space_basis(ctx.full_group)) == 1
+
 
 # --- the table of spectral points ---------------------------------------------
 

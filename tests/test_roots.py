@@ -1,11 +1,13 @@
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import looprep.roots
 from looprep import RootSystem, root_system
 from looprep.errors import (
     LoopRepError,
@@ -20,9 +22,14 @@ from looprep.errors import (
 
 def char_product(rs, left, right):
     """Independent oracle: pointwise product of two weight-multiplicity maps."""
+    return char_times(rs.weight_mults(left), rs.weight_mults(right))
+
+
+def char_times(first, second):
+    """Character of a tensor product from the factors' multiplicity maps."""
     out = {}
-    for mu, m in rs.weight_mults(left).items():
-        for nu, n in rs.weight_mults(right).items():
+    for mu, m in first.items():
+        for nu, n in second.items():
             key = tuple(a + b for a, b in zip(mu, nu))
             out[key] = out.get(key, 0) + m * n
     return out
@@ -37,12 +44,16 @@ def reconstructed_char(rs, parts):
 
 
 def peel_decompose(rs, left, right):
-    """Oracle: highest-weight peeling of the character product.
+    """Oracle: highest-weight peeling of the character product."""
+    return peel(rs, char_product(rs, left, right))
+
+
+def peel(rs, product):
+    """Highest-weight peeling of a character, consumed in place.
 
     Repeatedly removes the character of V(top), where top is the maximal
     weight left by (height, weight); returns (top, mult) in peel order.
     """
-    product = char_product(rs, left, right)
     parts = []
     while product:
         top = max(product, key=lambda w: (rs.height(w), w))
@@ -56,6 +67,52 @@ def peel_decompose(rs, left, right):
             else:
                 product.pop(nu, None)
     return parts
+
+
+def form(weight, root, lengths):
+    """(weight, alpha) with alpha in simple-root coordinates."""
+    return sum((d * a * x for d, a, x in zip(lengths, root, weight)), Fraction(0))
+
+
+def freudenthal_mults(rs, weight):
+    """Oracle: Freudenthal's formula over every weight of V(weight).
+
+    The weights come from walking root strings down from the top; the sums
+    are Fractions, and every lookup walks its weight into the dominant
+    chamber.  Returns the full weight-multiplicity map.
+    """
+    top = tuple(weight)
+    all_weights, stack = {top}, [top]
+    while stack:
+        mu = stack.pop()
+        for i in range(rs.rank):
+            for k in range(1, mu[i] + 1):
+                nu = tuple(mu[j] - k * rs.cartan[j][i] for j in range(rs.rank))
+                if nu not in all_weights:
+                    all_weights.add(nu)
+                    stack.append(nu)
+
+    def norm_rho(mu):
+        mu_rho = tuple(x + 1 for x in mu)
+        return form(mu_rho, rs.fund_to_root(mu_rho), rs.lengths)
+
+    mults = {}
+    dominants = [mu for mu in all_weights if rs.is_dominant(mu)]
+    for mu in sorted(dominants, key=lambda mu: -rs.height(mu)):
+        if mu == top:
+            mults[mu] = 1
+            continue
+        acc = Fraction(0)
+        for root in rs.positive_roots:
+            root_fund = rs.root_to_fund(root)
+            nu = tuple(x + y for x, y in zip(mu, root_fund))
+            while nu in all_weights:
+                acc += mults[rs.dominant_representative(nu)] * form(nu, root, rs.lengths)
+                nu = tuple(x + y for x, y in zip(nu, root_fund))
+        val = 2 * acc / (norm_rho(top) - norm_rho(mu))
+        assert val.denominator == 1 and val > 0
+        mults[mu] = int(val)
+    return {mu: mults[rs.dominant_representative(mu)] for mu in all_weights}
 
 
 # bound on the entry sum of each random weight, per type, so that the
@@ -78,6 +135,12 @@ def dominant_pairs(draw):
         return tuple(out)
 
     return rs, weight(), weight()
+
+
+@st.composite
+def dominant_weights(draw):
+    rs, weight, _ = draw(dominant_pairs())
+    return rs, weight
 
 
 # the weights of V(1) in A1 plus a weight -3 of multiplicity 2: with it as
@@ -142,7 +205,7 @@ class TestCorootCoeffs:
         rs = root_system(lie_type)
         for root in rs.positive_roots:
             coeffs = rs.coroot_coeffs(root)
-            norm = rs._form_with_root(rs.root_to_fund(root), root)
+            norm = form(rs.root_to_fund(root), root, rs.lengths)
             for i in range(rs.rank):
                 assert norm * coeffs[i] == 2 * rs.lengths[i] * root[i]
 
@@ -183,6 +246,77 @@ class TestWeightMults:
         for nu, m in mults.items():
             for i in range(b2.rank):
                 assert mults[b2.reflect(i, nu)] == m
+
+    @settings(deadline=None, max_examples=80)
+    @given(case=dominant_weights())
+    def test_matches_freudenthal_oracle(self, case):
+        rs, weight = case
+        assert rs.weight_mults(weight) == freudenthal_mults(rs, weight)
+
+    @pytest.mark.parametrize(
+        "lie_type, weight",
+        [("F4", (1, 1, 1, 1)), ("E6", (1, 1, 0, 0, 0, 1)), ("E7", (1, 0, 0, 0, 0, 0, 0))],
+    )
+    def test_exceptional_freudenthal_oracle(self, lie_type, weight):
+        rs = root_system(lie_type)
+        mults = rs.weight_mults(weight)
+        assert mults == freudenthal_mults(rs, weight)
+        assert sum(mults.values()) == rs.weyl_dim(weight)
+
+    @pytest.mark.parametrize("weight", [(1,), (1, 0, 0)])
+    def test_wrong_rank_is_rejected(self, a2, weight):
+        # the integer loops zip coordinates, which would truncate silently
+        for call in (a2.weyl_dim, a2.weight_mults, a2.link_neighbors,
+                     lambda w: a2.tensor_decompose(w, (1, 0)),
+                     lambda w: a2.link_chain(w, (0, 0))):
+            with pytest.raises(NotDominant):
+                call(weight)
+
+    def test_returned_map_is_fresh(self):
+        rs = root_system("B2")
+        mults = rs.weight_mults((1, 1))
+        expected = dict(mults)
+        mults[(1, 1)] = 7
+        mults[(9, 9)] = 1
+        del mults[rs.reflect(0, (1, 1))]
+        assert rs.weight_mults((1, 1)) == expected
+
+    def test_integer_arithmetic_only(self, monkeypatch):
+        # weight_mults, weyl_dim and tensor_decompose build no Fraction
+        rs = root_system("G2")
+        expected = (rs.weight_mults((2, 1)), rs.weyl_dim((2, 1)),
+                    rs.tensor_decompose((2, 1), (1, 1)))
+
+        def no_fraction(*args):
+            raise AssertionError("Fraction built")
+
+        monkeypatch.setattr(looprep.roots, "Fraction", no_fraction)
+        assert (rs.weight_mults((2, 1)), rs.weyl_dim((2, 1)),
+                rs.tensor_decompose((2, 1), (1, 1))) == expected
+
+    def test_corrupted_root_lengths_raise(self, monkeypatch):
+        # G2 with equal root lengths: Freudenthal's quotient is not integral
+        monkeypatch.setattr(looprep.roots, "_root_lengths", lambda cartan: (1, 1))
+        rs = RootSystem("G2")
+        with pytest.raises(RootDataInconsistency):
+            rs.weight_mults((0, 1))
+
+    def test_corrupted_root_lengths_raise_under_optimize(self, src_env):
+        script = (
+            "import looprep.roots\n"
+            "from looprep import RootDataInconsistency\n"
+            "looprep.roots._root_lengths = lambda cartan: (1, 1)\n"
+            "try:\n"
+            "    looprep.roots.RootSystem('G2').weight_mults((0, 1))\n"
+            "except RootDataInconsistency:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
 
 
 class TestTensorDecompose:
@@ -355,6 +489,20 @@ class TestLinkage:
             mu = tuple(rng.randint(0, 2) for _ in range(2))
             assert b2.directly_linked(lam, mu) == b2.directly_linked(mu, lam)
 
+    def test_link_chain_builds_one_multiplicity_map(self, monkeypatch):
+        # the adjoint module's map is computed once per search, not per step
+        rs = RootSystem("A1")
+        calls = []
+        weight_mults = RootSystem.weight_mults
+
+        def counted(self, weight):
+            calls.append(tuple(weight))
+            return weight_mults(self, weight)
+
+        monkeypatch.setattr(RootSystem, "weight_mults", counted)
+        assert rs.link_chain((6,), (0,)) == [(0,), (2,), (4,), (6,)]
+        assert calls == [(2,)]
+
     @pytest.mark.parametrize("lie_type", ["A1", "A2", "B2", "G2"])
     def test_linkage_matches_peeling_oracle(self, lie_type, monkeypatch):
         rs = RootSystem(lie_type)
@@ -373,8 +521,8 @@ class TestLinkage:
 
         fast = outcomes()
         monkeypatch.setattr(
-            RootSystem, "tensor_decompose",
-            lambda self, left, right: peel_decompose(self, left, right),
+            RootSystem, "_brauer_klimyk",
+            lambda self, left, mults: peel(self, char_times(self.weight_mults(left), mults)),
         )
         assert outcomes() == fast
         assert any(fast[0]) and not all(fast[0])
