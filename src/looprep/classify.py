@@ -13,22 +13,16 @@ runs over the Stab(a)-orbits on the orbit of b (orbit-stabilizer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DescentInconsistency, NotDominant, UnsupportedType
 from .lweights import LWeight
+from .record import Record
 
 
-@dataclass(frozen=True)
-class IrrClass:
-    """A conjugacy class of dominant l-weights with its dimension data."""
+class IrrClass(Record):
+    """A conjugacy class of dominant l-weights with its dimension data: the
+    key (an LWeight), the orbit, the degree, the weight, dim_f and dim_k."""
 
-    key: LWeight
-    orbit: tuple
-    degree: int
-    weight: tuple
-    dim_f: int
-    dim_k: int
+    __slots__ = ("key", "orbit", "degree", "weight", "dim_f", "dim_k")
 
     def to_json(self):
         return {
@@ -40,11 +34,11 @@ class IrrClass:
         }
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Sorted multiset of irreducible classes with multiplicities."""
+class Decomposition(Record):
+    """Sorted multiset of irreducible classes with multiplicities: parts is
+    a tuple of (IrrClass, multiplicity)."""
 
-    parts: tuple  # of (IrrClass, multiplicity)
+    __slots__ = ("parts",)
 
     @property
     def total_dim(self) -> int:

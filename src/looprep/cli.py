@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from .kxmodules import build_kx_module, char_poly_split_check, tensor_embedding_
 from .lweights import LWeight
 from .roots import _parse_type, root_system
 from .series import (
+    MAX_ORDER,
     SymPoly,
     TruncSeries,
     binom_poly,
@@ -45,19 +47,27 @@ from .series import (
 SCHEMA_VERSION = 1
 
 # Upper bounds on the work a job may ask for: a larger --max-steps, --order,
-# Lie-type rank, series-check rank times order or field degree makes the job
-# malformed.  The link-chain search grows like steps^rank (16 steps in E8
-# take seconds), building a root system steeply with the rank (A80 takes
-# seconds; rank 8 covers E8), the series suite steeply with rank and order
-# (2-CPU machine: F4 at order 9, the slowest within 36, 4 s; E8 at 5, 7 s;
-# B3 at 14, 8 s), and the field work of a job steeply with the degree (the
-# README's commands over zeta35, degree 24, 1.0 s; zeta51, degree 32, 1.9 s;
-# zeta41, degree 40, 3.2 s; zeta69, degree 44, 5.0 s).
+# Lie-type rank, series-check rank times order, field degree or l-weight
+# exponent makes the job malformed.  The link-chain search grows like
+# steps^rank (16 steps in E8 take seconds), building a root system steeply
+# with the rank (A80 takes seconds; rank 8 covers E8), the series suite
+# steeply with rank and order (2-CPU machine, Python 3.11: F4 at order 9,
+# the slowest within 36, 0.5 s; just beyond, E8 at 5 1.0 s and B3 at 14
+# 0.5 s), and the field work of a job steeply with the degree (the README's
+# commands over zeta35, degree 24, 1.0 s; zeta51, degree 32, 1.9 s;
+# zeta41, degree 40, 3.2 s; zeta69, degree 44, 5.0 s).  MAX_ORDER is the
+# series layer's own bound: every exponent of a series up to that order
+# fits its packed slot.  MAX_EXPONENT bounds the sum of the absolute
+# exponents of one l-weight's records, so every node weight and the degree
+# of every polynomial: on A1 over Q(i) the slowest commands, kx-matrix and
+# embedding-rank, take 0.3 s beyond start-up at exponent 128, 1.2 s at 256
+# and 15 s at 1000, and at 20000 the Weyl dimension 2^20000 is too long to
+# print.
 MAX_STEPS = 16
-MAX_ORDER = 12
 MAX_RANK = 8
 MAX_RANK_ORDER = 36
 MAX_DEGREE = 32
+MAX_EXPONENT = 128
 
 
 class JobError(Exception):
@@ -156,6 +166,7 @@ def _check_lweights(lweights):
     for name, records in lweights.items():
         if not isinstance(records, list):
             raise JobError("l-weight %r must be an array of records" % name)
+        total = 0
         for rec in records:
             if not isinstance(rec, dict):
                 raise JobError("l-weight %r has a record that is not an object" % name)
@@ -168,6 +179,10 @@ def _check_lweights(lweights):
             if not _is_int(rec["exp"]):
                 raise JobError("l-weight %r: exponent %r is not an integer"
                                % (name, rec["exp"]))
+            total += abs(rec["exp"])
+            if total > MAX_EXPONENT:
+                raise JobError("l-weight %r: exponents add up to more than %d"
+                               % (name, MAX_EXPONENT))
             _check_rationals(rec["point"], "point of l-weight %r" % name, MAX_DEGREE)
 
 
@@ -416,8 +431,22 @@ def _human_lines(record):
     return "\n".join(lines)
 
 
+def _report_path_error(json_path):
+    """Why no JSON report can be written to json_path, or None."""
+    if os.path.isdir(json_path):
+        return "%r is a directory" % json_path
+    parent = os.path.dirname(os.path.abspath(json_path))
+    if not os.path.isdir(parent):
+        return "directory %r does not exist" % parent
+    return None
+
+
 def run(job_path, json_path=None, quiet=False, max_steps=8, order=8):
     """Execute a job file; returns the process exit code."""
+    problem = json_path and _report_path_error(json_path)
+    if problem:
+        print("error: bad --json report path: %s" % problem, file=sys.stderr)
+        return 2
     try:
         with open(job_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -457,9 +486,13 @@ def run(job_path, json_path=None, quiet=False, max_steps=8, order=8):
 
     if json_path:
         report = {"schemaVersion": SCHEMA_VERSION, "results": results}
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print("error: bad --json report path: %s" % exc, file=sys.stderr)
+            return 2
     return 0
 
 

@@ -103,3 +103,7 @@ class BadConstantTerm(LoopRepError):
 
 class ZeroPoint(LoopRepError):
     """Evaluation at the spectral point zero is undefined."""
+
+
+class ExponentOverflow(LoopRepError):
+    """A monomial exponent does not fit its slot of the packed form."""

@@ -19,12 +19,11 @@ the form only for serialized forms, reprs and polynomial views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from .errors import Singular, ZeroDivisor
+from .record import Record
 
 
 def _frac(x) -> Fraction:
@@ -40,7 +39,7 @@ class PolyQ:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable = ()):
+    def __init__(self, coeffs=()):
         cs = [_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -234,7 +233,7 @@ class NumberField:
     def __hash__(self):
         return hash(self.modulus)
 
-    def elem(self, coords: Iterable) -> "FieldElem":
+    def elem(self, coords) -> "FieldElem":
         """Element from coordinates (any length; reduced mod the modulus)."""
         return self.from_poly(PolyQ(coords))
 
@@ -653,8 +652,7 @@ def frac_mat_inverse(rows):
 
 # --- Smith normal form -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Record):
     """Diagonal divisor chain with unimodular transforms.
 
     left @ input @ right equals the diagonal matrix padded with zeros, each
@@ -662,9 +660,7 @@ class SmithForm:
     have determinant +-1.
     """
 
-    diagonal: tuple
-    left: tuple
-    right: tuple
+    __slots__ = ("diagonal", "left", "right")
 
 
 def _int_matmul(a, b):
@@ -672,7 +668,7 @@ def _int_matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
+def smith_normal_form(matrix) -> SmithForm:
     """Smith normal form of an integer matrix with transform tracking."""
     a = [[int(x) for x in row] for row in matrix]
     nr = len(a)

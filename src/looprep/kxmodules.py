@@ -14,32 +14,30 @@ field inversion per module, since P'(t_j) = sigma_j(P'(t)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _field
 from itertools import combinations_with_replacement, islice
 
 from .errors import CertificateFailed, NotDominant, PrimitiveSearchFailed
 from .exact import MatrixL, _dot, char_poly, frac_rank
 from .lweights import LWeight
+from .record import Record
 
 
-@dataclass(frozen=True)
-class KXModule:
+class KXModule(Record):
     """Explicit model of the irreducible module attached to an l-weight.
 
     generator_matrices maps (node, power index r) to the d x d matrix of the
     r-th generator in the power basis of the primitive element; every entry
     is fixed by H and the matrices commute pairwise.  interpolation holds the
     minimal polynomial of the primitive and its Lagrange basis
-    (_interpolation), from which multiplication_matrix builds any matrix.
+    (_interpolation), from which multiplication_matrix builds any matrix;
+    it takes no part in equality and repr.  The other fields are the
+    lweight, the stabilizer, the primitive (a FieldElem), dim and the
+    coset_reps.
     """
 
-    lweight: LWeight
-    stabilizer: tuple
-    primitive: object  # FieldElem
-    dim: int
-    coset_reps: tuple
-    generator_matrices: dict
-    interpolation: tuple = _field(repr=False, compare=False)
+    __slots__ = ("lweight", "stabilizer", "primitive", "dim", "coset_reps",
+                 "generator_matrices", "interpolation")
+    _hidden = ("interpolation",)
 
     def matrix(self, node: int, index: int) -> MatrixL:
         return self.generator_matrices[(node, index)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add, mul, sub
 from threading import Lock
 
 from .errors import (
@@ -104,7 +105,7 @@ class RootSystem:
     __slots__ = (
         "lie_type", "rank", "cartan", "lengths", "positive_roots",
         "cartan_inv", "snf", "highest_root", "_height_row", "_height_den",
-        "_root_table",
+        "_root_table", "_simple_funds",
     )
 
     def __init__(self, lie_type: str):
@@ -129,11 +130,19 @@ class RootSystem:
             self, "_height_row", tuple(int(c * den) for c in columns)
         )
         object.__setattr__(self, "_height_den", den)
-        # per positive root alpha: its fundamental coordinates, and the
-        # integers d_i * alpha_i, so that (nu, alpha) = sum_i d_i alpha_i nu_i
-        object.__setattr__(self, "_root_table", tuple(
-            (self.root_to_fund(root), tuple(d * a for d, a in zip(self.lengths, root)))
-            for root in self.positive_roots
+        # per positive root alpha: its fundamental coordinates, the integers
+        # d_i * alpha_i, so that (nu, alpha) = sum_i d_i alpha_i nu_i, and
+        # (alpha, alpha)
+        table = []
+        for root in self.positive_roots:
+            fund = self.root_to_fund(root)
+            dual = tuple(d * a for d, a in zip(self.lengths, root))
+            table.append((fund, dual, sum(map(mul, dual, fund))))
+        object.__setattr__(self, "_root_table", tuple(table))
+        # the simple roots in fundamental coordinates: column i of the Cartan
+        # matrix
+        object.__setattr__(self, "_simple_funds", tuple(
+            tuple(row[i] for row in cartan) for i in range(rank)
         ))
 
     def __setattr__(self, name, value):
@@ -216,8 +225,7 @@ class RootSystem:
         root = tuple(root)
         if root not in self.positive_roots:
             raise NotARoot("%r is not a positive root of %s" % (root, self.lie_type))
-        fund, dual = self._root_table[self.positive_roots.index(root)]
-        norm = sum(x * y for x, y in zip(dual, fund))  # (alpha, alpha)
+        _, dual, norm = self._root_table[self.positive_roots.index(root)]
         out = []
         for x in dual:
             q, r = divmod(2 * x, norm)
@@ -236,7 +244,7 @@ class RootSystem:
         roots, as one exact division of integer products."""
         self._check_dominant(weight)
         num = den = 1
-        for _, dual in self._root_table:
+        for _, dual, _ in self._root_table:
             num *= sum(x * (w + 1) for x, w in zip(dual, weight))
             den *= sum(dual)
         dim, r = divmod(num, den)
@@ -264,26 +272,30 @@ class RootSystem:
         """
         lam = tuple(weight)
         self._check_dominant(lam)
-        simple = [tuple(row[i] for row in self.cartan) for i in range(self.rank)]
+        table = self._root_table
         c = {lam: (0,) * self.rank}
         stack = [lam]
         while stack:
             mu = stack.pop()
-            for root, (fund, _) in zip(self.positive_roots, self._root_table):
-                nu = tuple(x - y for x, y in zip(mu, fund))
+            for root, (fund, _, _) in zip(self.positive_roots, table):
+                nu = tuple(map(sub, mu, fund))
                 if nu not in c and min(nu) >= 0:
-                    c[nu] = tuple(x + y for x, y in zip(c[mu], root))
+                    c[nu] = tuple(map(add, c[mu], root))
                     stack.append(nu)
         mults = {}
         for mu in sorted(c, key=lambda nu: sum(c[nu])):
             m = 1
             if mu != lam:
+                # (mu + k alpha, alpha) = (mu + alpha, alpha) + (k - 1)(alpha, alpha)
                 num = 0
-                for fund, dual in self._root_table:
-                    nu = tuple(x + y for x, y in zip(mu, fund))
-                    while nu in mults:
-                        num += mults[nu] * sum(x * y for x, y in zip(dual, nu))
-                        nu = tuple(x + y for x, y in zip(nu, fund))
+                for fund, dual, norm in table:
+                    nu = tuple(map(add, mu, fund))
+                    if nu in mults:
+                        pairing = sum(map(mul, dual, nu))
+                        while nu in mults:
+                            num += mults[nu] * pairing
+                            pairing += norm
+                            nu = tuple(map(add, nu, fund))
                 den = sum(ci * d * (x + y + 2) for ci, d, x, y
                           in zip(c[mu], self.lengths, lam, mu))
                 m, r = divmod(2 * num, den) if den > 0 else (0, 0)
@@ -296,9 +308,9 @@ class RootSystem:
             orbit = [mu]
             while orbit:
                 nu = orbit.pop()
-                for x, alpha in zip(nu, simple):
+                for x, alpha in zip(nu, self._simple_funds):
                     if x > 0:
-                        image = tuple(y - x * a for y, a in zip(nu, alpha))
+                        image = tuple([y - x * a for y, a in zip(nu, alpha)])
                         if image not in mults:
                             mults[image] = m
                             orbit.append(image)

@@ -311,10 +311,73 @@ class TestExitCodes:
         rep = run_json(tmp_path, ["validate-field"], field=field)
         assert rep["results"][0]["result"]["groupOrder"] == 2
 
+    @pytest.mark.parametrize("exps", [[20000], [-20000], [10 ** 9], [100, 29], [64, -65]],
+                             ids=["a1-20000", "negative", "huge", "sum", "sum-of-abs"])
+    def test_exponent_above_the_bound_is_malformed(self, tmp_path, src_env, exps):
+        # lw-info on A1 printed 2^20000 and died with a ValueError traceback;
+        # the bound rejects the job before any context is built
+        points = [["0", str(k + 1)] for k in range(len(exps))]
+        job = write_job(tmp_path, ["lw-info p"], lweights={
+            "p": [{"node": 1, "point": pt, "exp": e} for pt, e in zip(points, exps)]})
+        out = subprocess.run(
+            [sys.executable, "-m", "looprep.cli", str(job), "--quiet"],
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "malformed job file" in out.stderr
+        assert "more than %d" % cli.MAX_EXPONENT in out.stderr
+
+    def test_exponent_bound_is_inclusive(self, tmp_path):
+        assert cli.MAX_EXPONENT == 128
+        rep = run_json(tmp_path, ["lw-info p"], lweights={
+            "p": [{"node": 1, "point": ["0", "1"], "exp": cli.MAX_EXPONENT - 1},
+                  {"node": 1, "point": ["0", "2"], "exp": 1}]})
+        assert rep["results"][0]["result"]["weight"] == [cli.MAX_EXPONENT]
+
     def test_bounds_cover_the_documented_values(self, tmp_path):
         assert cli.MAX_STEPS >= 8 and cli.MAX_ORDER >= 10
         rep = run_json(tmp_path, ["link-chain A1 4 0 --max-steps %d" % cli.MAX_STEPS])
         assert rep["results"][0]["result"]["chain"] == [[0], [2], [4]]
+
+
+class TestReportPath:
+    """A --json path that cannot take the report exits 2 before any command
+    runs; it used to run every command and die with a traceback."""
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_bad_report_path_exits_2(self, tmp_path, src_env, where):
+        job = write_job(tmp_path, ["lw-info p"])
+        report = tmp_path if where == "directory" else tmp_path / "nosuch" / "out.json"
+        out = subprocess.run(
+            [sys.executable, "-m", "looprep.cli", str(job), "--json", str(report)],
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("error: bad --json report path")
+        assert out.stderr.count("\n") == 1
+
+    def test_checked_before_the_job_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_run_command", lambda *args: pytest.fail("command ran"))
+        job = write_job(tmp_path, ["lw-info p"])
+        assert run(str(job), json_path=str(tmp_path), quiet=True) == 2
+
+    def test_failed_write_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a path that passes the early check but fails to open still keeps
+        # the contract
+        job = write_job(tmp_path, ["lw-info p"])
+        real_open = open
+
+        def failing_open(path, *args, **kwargs):
+            if str(path).endswith("out.json"):
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", failing_open)
+        assert run(str(job), json_path=str(tmp_path / "out.json"), quiet=True) == 2
+        assert "bad --json report path" in capsys.readouterr().err
 
 
 def _node_zero(job):
@@ -416,8 +479,11 @@ RECORD_VALUES = {
     "node": [0, 1, 2, -1, "1", 1.5, None, True, 10 ** 30],
     "point": [["0"], ["0", "0"], ["1/0"], ["x"], [1, 2], ["0", "1", "2"], 5, [],
               ["3/2", "-1/3"], ["2"], ["0", "-1"]],
-    "exp": [-1, 0, 1, 2, 3, "1", 1.5, None, True, -10 ** 30],
+    "exp": [-1, 0, 1, 2, 3, "1", 1.5, None, True, -10 ** 30, 129, 20000, 10 ** 9],
 }
+# where the fuzzed job's --json report goes: a fresh file, an existing
+# directory, or a file in a missing directory
+REPORT_PATHS = ["report.json", ".", os.path.join("nosuch", "report.json")]
 TOKENS = ["p", "q", "pc", "nosuch", "", "1", "-1", "0", "4", "1,1", "1,1,1", "A1", "A2",
           "G2", "B2", "Z9", "E8", "--node", "--index", "--order", "--max-steps", "--type",
           "--bogus", "2", "12", "13", "16", "17", "3/2", "x", "tensor", "blocks"]
@@ -479,17 +545,21 @@ class TestFuzzedJobs:
         for _ in range(data.draw(st.integers(1, 3))):
             mutate = data.draw(st.sampled_from([mutate_field, mutate_record, mutate_command]))
             mutate(data, job)
+        where = data.draw(st.sampled_from(REPORT_PATHS))
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "job.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(job, fh)
+            report = os.path.join(tmp, where)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run(path, json_path=os.path.join(tmp, "report.json"))
+                code = run(path, json_path=report)
             assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
-            assert (code == 0) == os.path.exists(os.path.join(tmp, "report.json"))
+            assert (code == 0) == os.path.isfile(report)
             assert (code == 0) == (err.getvalue() == "")
+            if where != REPORT_PATHS[0]:
+                assert code == 2 and out.getvalue() == ""
 
     def test_readme_job_runs(self, tmp_path):
         path = tmp_path / "job.json"

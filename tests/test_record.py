@@ -1,0 +1,67 @@
+"""The immutable records SmithForm, IrrClass, Decomposition and KXModule keep
+the constructor, equality, hash and repr of frozen dataclasses."""
+
+import pytest
+
+from looprep import (
+    Decomposition,
+    IrrClass,
+    KXModule,
+    LWeight,
+    SmithForm,
+    build_kx_module,
+    classify,
+    smith_normal_form,
+    tensor_decompose_k,
+)
+
+
+class TestSmithForm:
+    def test_fields_equality_hash_repr(self):
+        snf = smith_normal_form([[2, -1], [-1, 2]])
+        same = SmithForm(snf.diagonal, left=snf.left, right=snf.right)
+        assert snf == same and hash(snf) == hash(same)
+        assert snf != SmithForm(diagonal=(1, 1), left=snf.left, right=snf.right)
+        assert repr(snf) == "SmithForm(diagonal=%r, left=%r, right=%r)" % (
+            snf.diagonal, snf.left, snf.right)
+        assert snf != (snf.diagonal, snf.left, snf.right)
+
+    def test_immutable_and_checked_fields(self):
+        snf = smith_normal_form([[2]])
+        with pytest.raises(AttributeError):
+            snf.diagonal = (1,)
+        with pytest.raises(AttributeError):
+            snf.extra = 1
+        with pytest.raises(TypeError):
+            SmithForm((1,), (1,))
+        with pytest.raises(TypeError):
+            SmithForm((1,), (1,), (1,), diagonal=(1,))
+        with pytest.raises(TypeError):
+            SmithForm((1,), (1,), (1,), (1,))
+
+
+class TestClassRecords:
+    def test_irr_class_and_decomposition(self, qi, a1):
+        i = qi.field.gen
+        p, q = LWeight.single(qi, a1, 0, i), LWeight.single(qi, a1, 0, 2 * i)
+        cls = classify(p)
+        assert cls == classify(p) and hash(cls) == hash(classify(p))
+        assert cls != classify(q)
+        assert repr(cls).startswith("IrrClass(key=LWeight(")
+        assert "dim_k=%d)" % cls.dim_k in repr(cls)
+        dec = tensor_decompose_k(p, q)
+        assert dec == Decomposition(parts=dec.parts) and hash(dec) == hash(Decomposition(dec.parts))
+        assert repr(dec) == "Decomposition(parts=%r)" % (dec.parts,)
+        assert {cls: 1}[IrrClass(**{name: getattr(cls, name) for name in IrrClass.__slots__})]
+
+
+class TestKXModule:
+    def test_interpolation_stays_out_of_equality_and_repr(self, qi, a1):
+        module = build_kx_module(LWeight.single(qi, a1, 0, qi.field.gen))
+        fields = {name: getattr(module, name) for name in KXModule.__slots__}
+        other = KXModule(**dict(fields, interpolation=None))
+        assert other == module
+        assert repr(other) == repr(module)
+        assert "interpolation" not in repr(module)
+        assert repr(module).startswith("KXModule(lweight=LWeight(")
+        assert KXModule(**dict(fields, dim=module.dim + 1)) != module

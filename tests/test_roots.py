@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -252,6 +253,15 @@ class TestWeightMults:
     def test_matches_freudenthal_oracle(self, case):
         rs, weight = case
         assert rs.weight_mults(weight) == freudenthal_mults(rs, weight)
+
+    @pytest.mark.parametrize("lie_type", sorted(ORACLE_BUDGETS))
+    def test_every_small_weight_matches_the_oracle(self, lie_type):
+        # every dominant weight within the type's entry-sum budget
+        rs = root_system(lie_type)
+        budget = ORACLE_BUDGETS[lie_type]
+        for weight in itertools.product(range(budget + 1), repeat=rs.rank):
+            if sum(weight) <= budget:
+                assert rs.weight_mults(weight) == freudenthal_mults(rs, weight)
 
     @pytest.mark.parametrize(
         "lie_type, weight",

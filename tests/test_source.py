@@ -2,6 +2,8 @@
 
 import ast
 import os
+import subprocess
+import sys
 
 import looprep
 
@@ -72,3 +74,26 @@ def test_unchecked_constructor_stays_private():
     # validity is inherited from validated l-weights, skip the checks
     callers = {c.split(":")[0] for c in attribute_calls("_unchecked")}
     assert callers == {"lweights.py", "classify.py"}
+
+
+def test_no_dataclasses_or_typing_in_library():
+    # importing dataclasses pulls in inspect, ast, dis, tokenize and typing,
+    # which every fresh interpreter (every CLI job) would pay for
+    found = []
+    for name, node in library_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += ["%s:%d %s" % (name, node.lineno, m) for m in modules
+                  if m.split(".")[0] in ("dataclasses", "typing")]
+    assert found == []
+
+
+def test_cli_import_loads_no_dataclasses(src_env):
+    code = "import sys; import looprep.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=src_env, timeout=60)
+    assert out.stdout.strip() == "False"
