@@ -31,7 +31,6 @@ from .exact import (
     SmithForm,
     char_poly,
     poly_gcd,
-    poly_xgcd,
     smith_normal_form,
 )
 from .galois import (
@@ -115,7 +114,6 @@ __all__ = [
     "multiplication_matrix",
     "partition_blocks",
     "poly_gcd",
-    "poly_xgcd",
     "rational_context",
     "root_system",
     "same_block",

@@ -3,8 +3,15 @@
 Rationals are stdlib fractions.Fraction (already canonical: reduced, positive
 denominator, hashable).  On top of that this module provides univariate
 polynomials over Q, number field elements Q[theta]/(m), dense matrices over a
-number field, rational linear algebra helpers, and the integer Smith normal
-form.  Everything is immutable after construction and all operations are pure.
+number field, integer linear algebra, and the integer Smith normal form.
+Everything is immutable after construction and all operations are pure.
+
+Linear algebra has one elimination routine, int_rref: a fraction-free
+Gauss-Jordan on integer rows that returns the reduced echelon form as
+integer rows over one positive denominator.  Ranks, kernel bases (the fixed
+spaces of the Galois layer), square inverses (the inverse Cartan matrix) and
+field inversion (one solve against the multiplication matrix of the element)
+are thin wrappers on it; none of them builds a Fraction.
 
 A number field element is stored in one canonical integer form: a tuple of
 integer numerators over a positive denominator whose gcd with all numerators
@@ -163,22 +170,6 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
-
-
-def poly_xgcd(a: PolyQ, b: PolyQ):
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = PolyQ([1]), PolyQ()
-    t0, t1 = PolyQ(), PolyQ([1])
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if not r0.is_zero:
-        lead = 1 / r0.coeffs[-1]
-        r0, s0, t0 = r0 * lead, s0 * lead, t0 * lead
-    return r0, s0, t0
 
 
 class NumberField:
@@ -372,6 +363,8 @@ class FieldElem:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o * self.inverse()
 
     def __pow__(self, n: int):
@@ -387,19 +380,31 @@ class FieldElem:
         return acc
 
     def inverse(self) -> "FieldElem":
-        """Multiplicative inverse via extended Euclid against the modulus.
+        """Multiplicative inverse: the solution x of M x = e_0 by int_rref,
+        where column k of M is the integer form of self * theta^k.
 
-        Raises ZeroDivisor for zero and for zero divisors (the runtime guard
-        against a reducible modulus).
+        Raises ZeroDivisor for zero and for zero divisors, whose M is
+        singular (the runtime guard against a reducible modulus).
         """
         if not self:
             raise ZeroDivisor("inverse of zero")
-        g, s, _ = poly_xgcd(self.as_poly(), self.field.modulus)
-        if g.degree != 0:
-            raise ZeroDivisor(
-                "zero divisor: gcd with modulus is %r (reducible modulus)" % g
-            )
-        return self.field.from_poly(s)
+        field = self.field
+        n, fold_den = field.degree, field.fold_den
+        # column k is self * theta^k scaled by den * fold_den^k
+        columns = [self.nums]
+        for _ in range(n - 1):
+            top = columns[-1][-1]
+            col = [0] + [x * fold_den for x in columns[-1][:-1]]
+            for i, c in field.fold_rows[0]:
+                col[i] += top * c
+            columns.append(col)
+        work, pivots, d = int_rref([list(row) + [int(i == 0)]
+                                    for i, row in enumerate(zip(*columns))])
+        if pivots != list(range(n)):
+            raise ZeroDivisor("zero divisor: singular multiplication matrix "
+                              "(reducible modulus)")
+        return field.from_numerators(
+            [self.den * fold_den ** k * row[n] for k, row in enumerate(work)], d)
 
     def terms(self):
         """(nonzero (i, numerator) pairs, den) with coords[i] = numerator / den.
@@ -586,115 +591,104 @@ def char_poly(m: MatrixL):
     return coeffs
 
 
-# --- rational linear algebra -------------------------------------------------
+# --- integer linear algebra -------------------------------------------------
 
-def frac_rref(rows):
-    """Row-reduce a rational matrix in place style; returns (rref, pivots)."""
-    work = [[_frac(x) for x in r] for r in rows]
+def int_rref(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (rows, pivots, d) with d > 0: the reduced row echelon form of the
+    input is rows / d, entry by entry, and pivots lists its pivot columns.
+    Each step replaces every other row i by (p * row_i - a_ic * row_p) / q,
+    with p the new pivot and q the previous one (Bareiss, Math. Comp. 22,
+    1968; Cohen, GTM 138, 2.2); by Sylvester's identity the entries stay
+    minors of the input, so every division is exact and no Fraction is made.
+    Every pivot row then holds d = the last pivot at its pivot column.
+    """
+    work = [list(r) for r in rows]
     nrows = len(work)
     ncols = len(work[0]) if work else 0
     pivots = []
-    row = 0
+    d = 1
     for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if work[r][col]), None)
+        top = len(pivots)
+        if top == nrows:
+            break
+        piv = next((r for r in range(top, nrows) if work[r][col]), None)
         if piv is None:
             continue
-        work[row], work[piv] = work[piv], work[row]
-        f = work[row][col]
-        work[row] = [x / f for x in work[row]]
+        work[top], work[piv] = work[piv], work[top]
+        prow = work[top]
+        p = prow[col]
         for r in range(nrows):
-            if r != row and work[r][col]:
-                g = work[r][col]
-                work[r] = [a - g * b for a, b in zip(work[r], work[row])]
+            if r != top:
+                row = work[r]
+                f = row[col]
+                if f:
+                    work[r] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+                elif p != d:
+                    work[r] = [p * x // d for x in row]
         pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return work, pivots
+        d = p
+    if d < 0:
+        work = [[-x for x in r] for r in work]
+        d = -d
+    return work, pivots, d
 
 
-def frac_rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(frac_rref(rows)[1])
-
-
-def frac_kernel_basis(rows):
-    """Basis of the right kernel {x : A x = 0} of a rational matrix.
-
-    The matrix is given as rows; returns a list of coordinate tuples.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = frac_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+def int_kernel_basis(rows):
+    """Basis of the right kernel {x : A x = 0} of an integer matrix, as
+    (vectors, d): one integer vector per free column fc of the reduced
+    echelon form, standing for the vector / d with 1 at fc and minus
+    column fc of the echelon form at the pivots."""
+    work, pivots, d = int_rref(rows)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(tuple(vec))
-    return basis
+    for fc in range(len(rows[0])):
+        if fc not in pivots:
+            vec = [d if c == fc else 0 for c in range(len(rows[0]))]
+            for r, pc in enumerate(pivots):
+                vec[pc] = -work[r][fc]
+            basis.append(vec)
+    return basis, d
 
 
-def frac_mat_inverse(rows):
-    """Exact inverse of a square rational matrix; raises Singular."""
+def int_inverse(rows):
+    """Inverse of a square integer matrix as (rows, d), meaning rows / d, by
+    reducing [A | I]; raises Singular if A is singular."""
     n = len(rows)
-    aug = [[_frac(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-           for i, r in enumerate(rows)]
-    rref, pivots = frac_rref(aug)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    work, pivots, d = int_rref(aug)
     if pivots != list(range(n)):
-        raise Singular("rational matrix is singular")
-    return [tuple(row[n:]) for row in rref]
+        raise Singular("integer matrix is singular")
+    return [r[n:] for r in work], d
 
 
 # --- Smith normal form -------------------------------------------------------
 
 class SmithForm(Record):
-    """Diagonal divisor chain with unimodular transforms.
+    """Diagonal divisor chain with the unimodular row transform.
 
-    left @ input @ right equals the diagonal matrix padded with zeros, each
-    diagonal entry is nonnegative and divides the next, and both transforms
-    have determinant +-1.
+    left @ input @ right equals the diagonal matrix padded with zeros for
+    some unimodular right, each diagonal entry is nonnegative and divides
+    the next, and left has determinant +-1.
     """
 
-    __slots__ = ("diagonal", "left", "right")
-
-
-def _int_matmul(a, b):
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    __slots__ = ("diagonal", "left")
 
 
 def smith_normal_form(matrix) -> SmithForm:
-    """Smith normal form of an integer matrix with transform tracking."""
+    """Smith normal form of an integer matrix, tracking the row transform."""
     a = [[int(x) for x in row] for row in matrix]
     nr = len(a)
     nc = len(a[0]) if nr else 0
     left = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    right = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
         left[i] = [x - q * y for x, y in zip(left[i], left[j])]
 
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in a:
-            r[i] -= q * r[j]
-        for r in right:
-            r[i] -= q * r[j]
-
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         left[i], left[j] = left[j], left[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in right:
-            r[i], r[j] = r[j], r[i]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
@@ -713,7 +707,9 @@ def smith_normal_form(matrix) -> SmithForm:
         if pivot[0] != k:
             row_swap(k, pivot[0])
         if pivot[1] != k:
-            col_swap(k, pivot[1])
+            j = pivot[1]
+            for r in a:
+                r[k], r[j] = r[j], r[k]
 
         dirty = False
         for i in range(k + 1, nr):
@@ -725,7 +721,8 @@ def smith_normal_form(matrix) -> SmithForm:
         for j in range(k + 1, nc):
             if a[k][j]:
                 q = a[k][j] // a[k][k]
-                col_op(j, k, q)
+                for r in a:  # col_j -= q * col_k
+                    r[j] -= q * r[k]
                 if a[k][j]:
                     dirty = True
         if dirty:
@@ -749,8 +746,4 @@ def smith_normal_form(matrix) -> SmithForm:
         k += 1
 
     diag = tuple(a[i][i] for i in range(min(nr, nc)))
-    return SmithForm(
-        diagonal=diag,
-        left=tuple(tuple(r) for r in left),
-        right=tuple(tuple(r) for r in right),
-    )
+    return SmithForm(diagonal=diag, left=tuple(tuple(r) for r in left))

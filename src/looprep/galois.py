@@ -27,7 +27,7 @@ from .exact import (
     FieldElem,
     NumberField,
     PolyQ,
-    frac_kernel_basis,
+    int_kernel_basis,
     poly_gcd,
 )
 
@@ -243,7 +243,8 @@ def _fixed_space_basis(field, aut_columns, subgroup):
         rows += block
     if not rows:
         rows = [[0] * n]
-    return tuple(FieldElem(field, vec) for vec in frac_kernel_basis(rows))
+    basis, d = int_kernel_basis(rows)
+    return tuple(field.from_numerators(vec, d) for vec in basis)
 
 
 def _generators(table, subgroup):

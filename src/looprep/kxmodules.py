@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, islice
 
 from .errors import CertificateFailed, NotDominant, PrimitiveSearchFailed
-from .exact import MatrixL, _dot, char_poly, frac_rank
+from .exact import MatrixL, _dot, char_poly, int_rref
 from .lweights import LWeight
 from .record import Record
 
@@ -249,7 +249,7 @@ def tensor_embedding_rank(a: LWeight, b: LWeight):
             product = (prim_a ** j) * (prim_b ** k)
             for kappa in k_basis:
                 rows.append((kappa * product).nums)
-    q_rank = frac_rank(rows)
+    q_rank = len(int_rref(rows)[1])
     if q_rank % k_deg:
         raise CertificateFailed(
             "image rank %d over Q is not a multiple of [K:Q] = %d" % (q_rank, k_deg)

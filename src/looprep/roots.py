@@ -21,7 +21,7 @@ from .errors import (
     SearchExhausted,
     UnknownType,
 )
-from .exact import frac_mat_inverse, smith_normal_form
+from .exact import int_inverse, smith_normal_form
 
 _E_EDGES = {
     6: [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)],
@@ -116,9 +116,10 @@ class RootSystem:
         object.__setattr__(self, "cartan", cartan)
         object.__setattr__(self, "lengths", _root_lengths(cartan))
         object.__setattr__(self, "positive_roots", self._close_positive_roots())
+        inv, den = int_inverse(cartan)
         object.__setattr__(
             self, "cartan_inv",
-            tuple(tuple(r) for r in frac_mat_inverse(cartan)),
+            tuple(tuple(Fraction(x, den) for x in r) for r in inv),
         )
         object.__setattr__(self, "snf", smith_normal_form(cartan))
         object.__setattr__(self, "highest_root", self.positive_roots[-1])

@@ -28,7 +28,10 @@ def h_point_symbol(alpha):
 
 
 def _sym_str(sym):
-    return "h[%s]" % ",".join(str(x) for x in sym[1:])
+    """A symbol printed with its own head: ('h', a, 1) as h[a,1], ('x',) as x."""
+    if len(sym) == 1:
+        return str(sym[0])
+    return "%s[%s]" % (sym[0], ",".join(str(x) for x in sym[1:]))
 
 
 def _sym_key(sym):

@@ -1,9 +1,24 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
-from conftest import KERNEL_CONTEXTS, field_elements, gauss_jordan_inverse
+from conftest import (
+    KERNEL_CONTEXTS,
+    field_elements,
+    gauss_jordan_inverse,
+    s3_context,
+)
+from exact_oracle import (
+    frac_kernel_basis,
+    frac_mat_inverse,
+    frac_rref,
+    poly_xgcd,
+    xgcd_inverse,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +27,16 @@ from looprep import (
     MatrixL,
     NumberField,
     PolyQ,
+    cyclotomic_context,
+    gaussian_context,
     poly_gcd,
-    poly_xgcd,
+    rational_context,
+    root_system,
     smith_normal_form,
 )
+from looprep import exact as exact_module
 from looprep.errors import Singular, ZeroDivisor
+from looprep.exact import int_inverse, int_kernel_basis, int_rref
 
 
 def test_polyq_canonical_form():
@@ -112,17 +132,19 @@ class TestSmithNormalForm:
         assert smith_normal_form(matrix).diagonal == diagonal
 
     def test_reconstruction_and_chain(self):
+        # the diagonal is the chain of determinantal divisors (d_1 ... d_k is
+        # the gcd of the k x k minors) and left is unimodular
         rng = random.Random(23)
         for _ in range(30):
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 4)
             m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
             snf = smith_normal_form(m)
-            product = _int_matmul(_int_matmul(snf.left, m), snf.right)
-            for i in range(rows):
-                for j in range(cols):
-                    expected = snf.diagonal[i] if i == j and i < len(snf.diagonal) else 0
-                    assert product[i][j] == expected
+            assert len(snf.diagonal) == min(rows, cols)
+            product = 1
+            for k, entry in enumerate(snf.diagonal, 1):
+                product *= entry
+                assert product == determinantal_divisor(m, k)
             for a, b in zip(snf.diagonal, snf.diagonal[1:]):
                 assert a >= 0 and b >= 0
                 if a:
@@ -130,7 +152,25 @@ class TestSmithNormalForm:
                 else:
                     assert b == 0
             assert abs(_int_det(snf.left)) == 1
-            assert abs(_int_det(snf.right)) == 1
+
+    def test_left_transform_clears_below_the_diagonal(self):
+        # rows of left @ m past the rank vanish: left is the row transform
+        rng = random.Random(31)
+        for _ in range(30):
+            cols = rng.randint(1, 4)
+            m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rng.randint(1, 4))]
+            snf = smith_normal_form(m)
+            rank = sum(1 for x in snf.diagonal if x)
+            assert all(not any(row) for row in _int_matmul(snf.left, m)[rank:])
+
+
+def determinantal_divisor(m, k):
+    """gcd of all k x k minors of the integer matrix m."""
+    out = 0
+    for rows in combinations(range(len(m)), k):
+        for cols in combinations(range(len(m[0])), k):
+            out = gcd(out, _int_det([[m[i][j] for j in cols] for i in rows]))
+    return out
 
 
 def _int_matmul(a, b):
@@ -357,3 +397,237 @@ class TestIntegerForm:
             a._coords
         with pytest.raises(AttributeError):
             b._coords
+
+
+# --- the fraction-free elimination against the Fraction Gauss-Jordan oracle ---
+
+def int_matrices(min_rows=0, max_rows=6, max_cols=6):
+    """Hypothesis strategy: small integer matrices, often rank-deficient,
+    with zero rows and columns, tall, wide and 0-row shapes, and negative
+    entries (so negative pivots)."""
+    def build(shape_and_data):
+        (nrows, ncols), data = shape_and_data
+        entry = st.one_of(st.just(0), st.integers(-7, 7), st.integers(-10**6, 10**6))
+        row = st.lists(entry, min_size=ncols, max_size=ncols)
+        rows = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+        if nrows >= 2 and data.draw(st.booleans()):
+            k = data.draw(st.integers(-3, 3))
+            rows[-1] = [k * x for x in rows[0]]  # a dependent row
+        return rows
+
+    shapes = st.tuples(st.integers(min_rows, max_rows), st.integers(1, max_cols))
+    return st.tuples(shapes, st.data()).map(build)
+
+
+def as_fractions(rows, d):
+    return [[Fraction(x, d) for x in r] for r in rows]
+
+
+class TestIntegerElimination:
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_rref_and_pivots_match_oracle(self, data):
+        rows = data.draw(int_matrices())
+        work, pivots, d = int_rref(rows)
+        rref, oracle_pivots = frac_rref(rows)
+        assert pivots == oracle_pivots
+        assert d > 0 and all(type(x) is int for r in work for x in r)
+        assert as_fractions(work, d) == rref
+
+    @pytest.mark.parametrize("rows, pivots", [
+        ([], []),                                  # no rows at all
+        ([[0, 0, 0]], []),                         # a zero row
+        ([[0, 2], [0, -4]], [1]),                  # a zero column
+        ([[1, 2, 3], [2, 4, 6], [-1, -2, -3]], [0]),  # rank one, tall
+        ([[-3, 1, 4, 1, 5]], [0]),                 # wide, negative pivot
+        ([[0, -5], [-2, 7], [0, 0]], [0, 1]),      # row swaps, negative pivots
+    ])
+    def test_edge_shapes(self, rows, pivots):
+        work, got, d = int_rref(rows)
+        assert got == pivots
+        if rows:
+            assert as_fractions(work, d) == frac_rref(rows)[0]
+        else:
+            assert work == [] and d == 1
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_kernel_basis_matches_oracle(self, data):
+        rows = data.draw(int_matrices(min_rows=1))
+        basis, d = int_kernel_basis(rows)
+        assert [tuple(Fraction(x, d) for x in v) for v in basis] == frac_kernel_basis(rows)
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_inverse_matches_oracle(self, data):
+        n = data.draw(st.integers(1, 5))
+        rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        try:
+            expected = frac_mat_inverse(rows)
+        except Singular:
+            with pytest.raises(Singular):
+                int_inverse(rows)
+            return
+        inv, d = int_inverse(rows)
+        assert [tuple(r) for r in as_fractions(inv, d)] == expected
+
+    def test_rank_kernel_and_inverse_build_no_fraction(self, monkeypatch):
+        class NoFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("a Fraction was built")
+
+        a = cyclotomic_context(8).field.gen + 3
+        monkeypatch.setattr(exact_module, "Fraction", NoFraction)
+        rows = [[2, -4, 6, 1], [1, -2, 3, 5], [0, 0, 7, -7]]
+        work, pivots, d = int_rref(rows)
+        basis, kd = int_kernel_basis(rows)
+        inv, id_ = int_inverse([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+        b = a.inverse()
+        assert pivots == [0, 2, 3] and len(basis) == 1 and kd == d and id_ == 4
+        for x in [d, kd, id_, b.den, *b.nums] + [x for r in work + basis + inv for x in r]:
+            assert type(x) is int
+
+
+# --- field inversion against extended Euclid ----------------------------------
+
+# the library's stock contexts and two S3 ones, built on demand
+STOCK_CONTEXTS = {
+    "rational": rational_context, "qi": gaussian_context,
+    "zeta5": lambda: cyclotomic_context(5), "zeta5_h03": lambda: cyclotomic_context(5, [0, 3]),
+    "zeta7": lambda: cyclotomic_context(7), "zeta8": lambda: cyclotomic_context(8),
+    "zeta15": lambda: cyclotomic_context(15), "zeta16": lambda: cyclotomic_context(16),
+    "zeta16_h07": lambda: cyclotomic_context(16, [0, 7]), "s3": s3_context,
+    "s3_h03": lambda: s3_context([0, 3]),
+}
+
+
+# the rational field, Q(i), zeta5, zeta7, zeta8, zeta16, and the elements of
+# zeta16's fixed field of H = {0, 7}
+INVERSE_FIELDS = ("rational", "qi", "zeta5", "zeta7", "zeta8", "zeta16", "zeta16_h07")
+
+
+@pytest.fixture(scope="module")
+def inverse_contexts():
+    return {name: STOCK_CONTEXTS[name]() for name in INVERSE_FIELDS}
+
+
+class TestInverseAgainstXgcd:
+    @pytest.mark.parametrize("name", INVERSE_FIELDS)
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_inverse_matches_xgcd(self, inverse_contexts, name, data):
+        ctx = inverse_contexts[name]
+        field = ctx.field
+        a = data.draw(field_elements(field))
+        if name == "zeta16_h07":
+            # an element of K = L^H, as the K-matrix layer inverts
+            coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=len(ctx.k_basis),
+                                        max_size=len(ctx.k_basis)))
+            a = sum((c * b for c, b in zip(coeffs, ctx.k_basis)), a * 0)
+        if not a:
+            with pytest.raises(ZeroDivisor):
+                a.inverse()
+            return
+        inv = a.inverse()
+        assert inv == xgcd_inverse(a)
+        assert a * inv == field.one
+
+    def test_non_integral_modulus(self, kernel_contexts):
+        field = kernel_contexts["sqrt2_sqrt3"].field
+        rng = random.Random(37)
+        for _ in range(25):
+            a = field.elem([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                            for _ in range(field.degree)])
+            if a:
+                assert a.inverse() == xgcd_inverse(a)
+
+    def test_zero_divisors_of_a_reducible_modulus(self):
+        # (theta^2 + 1)(theta - 2): zero divisors are exactly the multiples
+        # of a factor, where extended Euclid finds a nontrivial gcd
+        ring = NumberField(PolyQ([-2, 1, -2, 1]))
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(60):
+            a = ring.elem([rng.randint(-2, 2) for _ in range(3)])
+            if not a:
+                continue
+            expected = xgcd_inverse(a)
+            if expected is None:
+                seen.add("zero divisor")
+                with pytest.raises(ZeroDivisor):
+                    a.inverse()
+            else:
+                seen.add("unit")
+                assert a.inverse() == expected
+        for factor in (ring.gen ** 2 + 1, ring.gen - 2):
+            with pytest.raises(ZeroDivisor):
+                factor.inverse()
+        assert seen == {"unit", "zero divisor"}
+
+    def test_reducible_modulus_raises_under_optimize(self, src_env):
+        script = (
+            "from looprep import NumberField, PolyQ\n"
+            "from looprep.errors import ZeroDivisor\n"
+            "ring = NumberField(PolyQ([-1, 0, 1]))\n"
+            "try:\n"
+            "    (ring.gen - ring.one).inverse()\n"
+            "except ZeroDivisor:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, env=src_env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
+
+    def test_rtruediv_rejects_other_operands_before_inverting(self, qi, monkeypatch):
+        a = qi.field.gen + 1
+
+        def no_inverse(self):
+            raise AssertionError("inverted before coercing")
+
+        assert a.__rtruediv__(1.5) is NotImplemented
+        monkeypatch.setattr(FieldElem, "inverse", no_inverse)
+        with pytest.raises(TypeError, match="unsupported operand.*float.*FieldElem"):
+            1.5 / a
+        monkeypatch.undo()
+        assert 2 / a == qi.field.scalar(2) * a.inverse()
+
+
+# --- library results built on the elimination against the oracle ---------------
+
+def oracle_fixed_space(ctx, subgroup):
+    """Fixed space of a subgroup by frac_kernel_basis on the Fraction rows of
+    M_g - I for every element g (not just generators) of the subgroup."""
+    field = ctx.field
+    n = field.degree
+    powers = [field.gen ** k for k in range(n)]
+    rows = []
+    for g in subgroup:
+        images = [ctx.apply(g, p).coords for p in powers]
+        rows += [[images[k][i] - (i == k) for k in range(n)] for i in range(n)]
+    return tuple(FieldElem(field, vec) for vec in frac_kernel_basis(rows))
+
+
+@pytest.mark.parametrize("name", STOCK_CONTEXTS)
+def test_k_basis_matches_oracle(name):
+    ctx = STOCK_CONTEXTS[name]()
+    assert ctx.k_basis == oracle_fixed_space(ctx, ctx.subgroup)
+    assert oracle_fixed_space(ctx, ctx.full_group) == (ctx.field.one,)
+
+
+def test_k_basis_of_non_integral_modulus_matches_oracle(kernel_contexts):
+    ctx = kernel_contexts["sqrt2_sqrt3"]
+    assert ctx.k_basis == oracle_fixed_space(ctx, ctx.subgroup)
+
+
+CARTAN_TYPES = ("A1", "A2", "A5", "A8", "B2", "B3", "B8", "C3", "C8", "D4", "D8",
+                "E6", "E7", "E8", "F4", "G2")
+
+
+@pytest.mark.parametrize("lie_type", CARTAN_TYPES)
+def test_cartan_inverse_matches_oracle(lie_type):
+    rs = root_system(lie_type)
+    expected = tuple(frac_mat_inverse(rs.cartan))
+    assert rs.cartan_inv == expected
+    assert all(type(x) is Fraction for r in rs.cartan_inv for x in r)

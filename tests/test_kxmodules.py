@@ -19,9 +19,10 @@ from looprep import (
 )
 from looprep import kxmodules
 from looprep.errors import CertificateFailed, LoopRepError, NotDominant
-from looprep.exact import MatrixL, frac_rank
+from looprep.exact import MatrixL
 
 from conftest import gauss_jordan_inverse, point_pool, random_dominant
+from exact_oracle import frac_rank
 
 
 @pytest.fixture
@@ -265,7 +266,7 @@ class TestCertificates:
     def test_rank_not_multiple_of_k_degree_raises(self, cyclo5_half, a1, monkeypatch):
         # [K:Q] = 2 here, so an odd rational rank cannot come from a K-span
         lw = LWeight.single(cyclo5_half, a1, 0, cyclo5_half.field.gen)
-        monkeypatch.setattr(kxmodules, "frac_rank", lambda rows: 3)
+        monkeypatch.setattr(kxmodules, "int_rref", lambda rows: (rows, [0, 1, 2], 1))
         with pytest.raises(CertificateFailed):
             tensor_embedding_rank(lw, lw)
 

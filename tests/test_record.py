@@ -19,12 +19,11 @@ from looprep import (
 class TestSmithForm:
     def test_fields_equality_hash_repr(self):
         snf = smith_normal_form([[2, -1], [-1, 2]])
-        same = SmithForm(snf.diagonal, left=snf.left, right=snf.right)
+        same = SmithForm(snf.diagonal, left=snf.left)
         assert snf == same and hash(snf) == hash(same)
-        assert snf != SmithForm(diagonal=(1, 1), left=snf.left, right=snf.right)
-        assert repr(snf) == "SmithForm(diagonal=%r, left=%r, right=%r)" % (
-            snf.diagonal, snf.left, snf.right)
-        assert snf != (snf.diagonal, snf.left, snf.right)
+        assert snf != SmithForm(diagonal=(1, 1), left=snf.left)
+        assert repr(snf) == "SmithForm(diagonal=%r, left=%r)" % (snf.diagonal, snf.left)
+        assert snf != (snf.diagonal, snf.left)
 
     def test_immutable_and_checked_fields(self):
         snf = smith_normal_form([[2]])
@@ -33,11 +32,11 @@ class TestSmithForm:
         with pytest.raises(AttributeError):
             snf.extra = 1
         with pytest.raises(TypeError):
-            SmithForm((1,), (1,))
+            SmithForm((1,))
         with pytest.raises(TypeError):
-            SmithForm((1,), (1,), (1,), diagonal=(1,))
+            SmithForm((1,), (1,), diagonal=(1,))
         with pytest.raises(TypeError):
-            SmithForm((1,), (1,), (1,), (1,))
+            SmithForm((1,), (1,), (1,))
 
 
 class TestClassRecords:

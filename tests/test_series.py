@@ -199,6 +199,14 @@ class TestMixedTags:
         assert str(x * y) == str(y * x) == "h[1,1]*h[a,1]"
         assert str(y * y + x * y + 2 * x + y) == "(2)*h[1,1] + h[a,1] + h[1,1]*h[a,1] + h[a,1]^2"
 
+    def test_symbols_print_with_their_own_head(self):
+        # L[a,1] and h[a,1] are distinct symbols and must print distinctly
+        both = SymPoly.var(("L", "a", 1)) + SymPoly.var(h_symbol("a", 1))
+        assert str(both) == "L[a,1] + h[a,1]"
+        assert str(SymPoly.var(("x",)) * 3) == "(3)*x"
+        assert str(SymPoly.var(h_point_symbol("a"))) == "h[a]"
+        assert str(generic_lambda_series("a", 2).coeffs[2]) == "L[a,2]"
+
 
 class TestTwist:
     def test_identity_twist(self):

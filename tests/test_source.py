@@ -38,8 +38,9 @@ def test_only_exact_reads_coordinates():
 
 
 def test_series_sorts_only_to_print():
-    # monomials are frozensets and polynomials dicts keyed by them, so the
-    # arithmetic never needs an order; only __str__ sorts, for stable output
+    # monomials are packed exponent ints and polynomials dicts keyed by them,
+    # so the arithmetic never needs an order; only __str__ sorts, for stable
+    # output
     with open(os.path.join(SRC, "series.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename="series.py")
 
@@ -53,6 +54,30 @@ def test_series_sorts_only_to_print():
             printing |= sorted_calls(node)
     assert printing
     assert ["series.py:%d" % node.lineno for node in sorted_calls(tree) - printing] == []
+
+
+def test_one_elimination_routine_and_no_test_imports():
+    # int_rref is the library's only elimination; the Fraction Gauss-Jordan
+    # and extended Euclid it replaced are oracles in tests/exact_oracle.py
+    oracles = {"frac_rref", "poly_xgcd"}
+    found = []
+    for name, node in library_nodes():
+        if isinstance(node, ast.FunctionDef) and node.name in oracles:
+            found.append("%s:%d defines %s" % (name, node.lineno, node.name))
+        elif isinstance(node, ast.ImportFrom):
+            imported = {alias.name for alias in node.names}
+            module = (node.module or "").split(".")[0]
+            if imported & oracles or module in ("tests", "conftest") \
+                    or module.endswith("_oracle"):
+                found.append("%s:%d imports from %s" % (name, node.lineno, node.module))
+        elif isinstance(node, ast.Import):
+            found += ["%s:%d imports %s" % (name, node.lineno, alias.name)
+                      for alias in node.names if alias.name.split(".")[0] == "tests"
+                      or alias.name.endswith("_oracle")]
+        elif isinstance(node, ast.Name) and node.id in oracles:
+            found.append("%s:%d uses %s" % (name, node.lineno, node.id))
+    assert found == []
+    assert not oracles & (set(dir(looprep)) | set(looprep.__all__) | set(dir(looprep.exact)))
 
 
 def attribute_calls(attr):
