@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from .errors import ContextMismatch, NotDominant
 from .lweights import LWeight
+from .record import Immutable
 
 
-class SpectralCharacter:
+class SpectralCharacter(Immutable):
     """Finitely supported map from spectral points to nonzero P/Q classes."""
 
     __slots__ = ("ctx", "rs", "entries")
@@ -23,9 +24,6 @@ class SpectralCharacter:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpectralCharacter is immutable")
 
     @property
     def is_trivial(self) -> bool:

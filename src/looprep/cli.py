@@ -14,6 +14,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import prod
+from operator import add
 
 from .blocks import partition_blocks
 from .classify import (
@@ -62,12 +64,22 @@ SCHEMA_VERSION = 1
 # of every polynomial: on A1 over Q(i) the slowest commands, kx-matrix and
 # embedding-rank, take 0.3 s beyond start-up at exponent 128, 1.2 s at 256
 # and 15 s at 1000, and at 20000 the Weyl dimension 2^20000 is too long to
-# print.
+# print.  MAX_TENSOR_WORK bounds _tensor_work, checked before `tensor`
+# builds any multiplicity map.  At each shared point it takes the least of
+# two bounds on the constituents there (the Weyl dimensions, the dominant
+# weights below the summed weight), which also bound that point's weight
+# map; the product over points and the factor of points count the
+# constituents of many points, which MAX_EXPONENT leaves unbounded (B3 with
+# exponent 42 at each node measures 2.7e7 and ran past 20 s).  Over 26
+# measured families a unit took 0.7-43 us; the slowest within the bound
+# were 0.9 s (A1, 8 shared and 100 other points) and 0.7 s (A2, one point
+# of weight (63, 63)).
 MAX_STEPS = 16
 MAX_RANK = 8
 MAX_RANK_ORDER = 36
 MAX_DEGREE = 32
 MAX_EXPONENT = 128
+MAX_TENSOR_WORK = 2 ** 15
 
 
 class JobError(Exception):
@@ -80,24 +92,6 @@ def _tokens(command):
     if isinstance(command, list) and all(isinstance(t, str) for t in command):
         return list(command)
     raise JobError("command must be a string or a list of strings")
-
-
-def _split_options(tokens):
-    """Separate positional tokens from --key value options."""
-    positional = []
-    options = {}
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.startswith("--"):
-            if i + 1 >= len(tokens):
-                raise JobError("option %s needs a value" % tok)
-            options[tok[2:]] = tokens[i + 1]
-            i += 2
-        else:
-            positional.append(tok)
-            i += 1
-    return positional, options
 
 
 def _root_system(lie_type):
@@ -160,7 +154,8 @@ def _check_field(field):
 
 
 def _check_lweights(lweights):
-    """Shape of the l-weight records; LWeight checks the node range."""
+    """Shape of the l-weight records and their exponent sums; LWeight checks
+    the nodes."""
     if not isinstance(lweights, dict):
         raise JobError("lweights must be a JSON object")
     for name, records in lweights.items():
@@ -173,9 +168,6 @@ def _check_lweights(lweights):
             for key in ("node", "point", "exp"):
                 if key not in rec:
                     raise JobError("l-weight %r has a record without %r" % (name, key))
-            if not _is_int(rec["node"]):
-                raise JobError("l-weight %r: node %r is not an integer"
-                               % (name, rec["node"]))
             if not _is_int(rec["exp"]):
                 raise JobError("l-weight %r: exponent %r is not an integer"
                                % (name, rec["exp"]))
@@ -187,33 +179,33 @@ def _check_lweights(lweights):
 
 
 class Job:
-    def __init__(self, data):
+    """A job file checked for shape and bounds (JobError otherwise), then
+    loaded: the library's errors on the type and the field propagate as
+    validation failures, and an l-weight record it rejects (a node that is
+    not an integer in 1..rank, a zero point) makes the job file malformed.
+    max_steps and order are the defaults of link-chain and series-check."""
+
+    def __init__(self, data, max_steps=8, order=8):
         if not isinstance(data, dict):
             raise JobError("job file must be a JSON object")
         for key in ("field", "lieType", "commands"):
             if key not in data:
                 raise JobError("job file misses %r" % key)
+        if not isinstance(data["lieType"], str):
+            raise JobError("lieType must be a string")
         _check_field(data["field"])
-        self.field_json = data["field"]
-        self.lie_type = data["lieType"]
-        self.lweight_json = data.get("lweights", {})
-        _check_lweights(self.lweight_json)
+        lweights = data.get("lweights", {})
+        _check_lweights(lweights)
         if not isinstance(data["commands"], list):
             raise JobError("commands must be an array")
         self.commands = [_tokens(c) for c in data["commands"]]
-        self.ctx = None
-        self.rs = None
+        self.max_steps, self.order = max_steps, order
+        self.rs = _root_system(data["lieType"])
+        self.ctx = context_from_json(data["field"])
         self.lweights = {}
-
-    def load(self):
-        """Validate the context and the named l-weights.  Library errors
-        propagate as validation failures; a node beyond the rank or a zero
-        spectral point makes the job file malformed."""
-        self.rs = _root_system(self.lie_type)
-        self.ctx = context_from_json(self.field_json)
-        for name, data in self.lweight_json.items():
+        for name, records in lweights.items():
             try:
-                self.lweights[name] = LWeight.from_json(self.ctx, self.rs, data)
+                self.lweights[name] = LWeight.from_json(self.ctx, self.rs, records)
             except ValueError as exc:
                 raise JobError("l-weight %r: %s" % (name, exc))
 
@@ -223,126 +215,144 @@ class Job:
         return self.lweights[name]
 
 
-def _run_command(job, tokens, defaults):
-    positional, options = _split_options(tokens)
-    if not positional:
-        raise JobError("empty command")
-    cmd, args = positional[0], positional[1:]
+def _validate_field(job, opts):
+    ctx = job.ctx
+    line = "field ok: |G|=%d |H|=%d [K:Q]=%d" % (ctx.order, len(ctx.subgroup), ctx.k_degree)
+    return {"groupOrder": ctx.order, "subgroupOrder": len(ctx.subgroup),
+            "baseFieldDegree": ctx.k_degree, "valid": True}, [line]
 
-    if cmd == "validate-field":
-        return {
-            "groupOrder": job.ctx.order,
-            "subgroupOrder": len(job.ctx.subgroup),
-            "baseFieldDegree": job.ctx.k_degree,
-            "valid": True,
-        }
 
-    if cmd == "lw-info":
-        (name,) = args
-        lw = job.lweight(name)
-        cls = classify(lw)
-        info = {
-            "name": name,
-            "orbit": [m.to_json() for m in cls.orbit],
-            "degree": cls.degree,
-            "weight": list(cls.weight),
-            "dimF": cls.dim_f,
-            "dimK": cls.dim_k,
-        }
-        if job.rs.lie_type == "A1":
-            info["dimWeylF"] = dim_weyl_f(lw)
-            info["dimWeylK"] = dim_weyl_k(lw)
-        return info
+def _lw_info(job, opts, name):
+    lw = job.lweight(name)
+    cls = classify(lw)
+    result = {"name": name, "orbit": [m.to_json() for m in cls.orbit], "degree": cls.degree,
+              "weight": list(cls.weight), "dimF": cls.dim_f, "dimK": cls.dim_k}
+    line = "degree %d, wt %s, dimF %d, dimK %d" % (
+        cls.degree, result["weight"], cls.dim_f, cls.dim_k)
+    if job.rs.lie_type == "A1":
+        result["dimWeylF"] = dim_weyl_f(lw)
+        result["dimWeylK"] = dim_weyl_k(lw)
+        line += ", Weyl dims %d/%d" % (result["dimWeylF"], result["dimWeylK"])
+    return result, [line]
 
-    if cmd == "conjugates":
-        (name,) = args
-        orbit, degree = job.lweight(name).conjugacy_class()
-        return {"name": name, "degree": degree, "orbit": [m.to_json() for m in orbit]}
 
-    if cmd == "tensor":
-        a, b = args
-        lwa, lwb = job.lweight(a), job.lweight(b)
-        decomposition = tensor_decompose_k(lwa, lwb)
-        criterion = tp_irreducible_criterion(lwa, lwb)
-        return {
-            "left": a,
-            "right": b,
-            "decomposition": decomposition.to_json(),
-            "totalDim": decomposition.total_dim,
-            "irreducibleCriterion": criterion,
-            "weylCriterion": criterion,
-            "compositumDegree": compositum_degree(lwa, lwb),
-        }
+def _conjugates(job, opts, name):
+    orbit, degree = job.lweight(name).conjugacy_class()
+    orbit = [m.to_json() for m in orbit]
+    return ({"name": name, "degree": degree, "orbit": orbit},
+            ["degree %d" % degree] + [_fmt_lweight(m) for m in orbit])
 
-    if cmd == "rational-split":
-        (name,) = args
-        w_k, w_tilde = job.lweight(name).rational_split()
-        return {"name": name, "rationalPart": w_k.to_json(), "rest": w_tilde.to_json()}
 
-    if cmd == "dual":
-        (name,) = args
-        return {"name": name, "dual": job.lweight(name).dual().to_json()}
+def _tensor_work(a, b):
+    """The measure MAX_TENSOR_WORK bounds, for dominant a and b: the sum over
+    the conjugates b' of b of the number of points of a and b' times the
+    product, over the points p they share, of the least of dim V(a(p)),
+    dim V(b'(p)) and prod_i (floor(c_i) + 1), c the simple-root coordinates
+    of a(p) + b'(p)."""
+    rs = a.rs
+    shared = set(a.points())
+    total = 0
+    for conjugate in b.conjugacy_class()[0]:
+        points = conjugate.points()
+        work = len(shared.union(points))
+        for p in shared.intersection(points):
+            x, y = a.point_weight(p), conjugate.point_weight(p)
+            box = prod(c // 1 + 1 for c in rs.fund_to_root(tuple(map(add, x, y))))
+            work *= min(box, rs.weyl_dim(x), rs.weyl_dim(y))
+        total += work
+    return total
 
-    if cmd == "blocks":
-        if not args:
-            raise JobError("blocks needs at least one name")
-        groups = partition_blocks([job.lweight(n) for n in args])
-        return {
-            "names": args,
-            "blocks": [[m.to_json() for m in group] for group in groups],
-        }
 
-    if cmd == "kx-matrix":
-        (name,) = args
-        node = int(options.get("node", 1)) - 1
-        index = int(options.get("index", 1))
-        module = build_kx_module(job.lweight(name))
-        record = {
-            "name": name,
-            "dim": module.dim,
-            "primitive": module.primitive.to_json(),
-            "fixedByH": True,
-        }
-        if module.generator_matrices:
-            if (node, index) not in module.generator_matrices:
-                raise JobError("no generator at node %d, index %d" % (node + 1, index))
-            record["node"] = node + 1
-            record["index"] = index
-            record["matrix"] = module.matrix(node, index).to_json()
-            record["charPolySplits"] = char_poly_split_check(module, node, index)
-        return record
+def _tensor(job, opts, a, b):
+    lwa, lwb = job.lweight(a), job.lweight(b)
+    # tensor_decompose_k rejects an l-weight that is not dominant (exit 1)
+    work = lwa.is_dominant and lwb.is_dominant and _tensor_work(lwa, lwb)
+    if work > MAX_TENSOR_WORK:
+        raise JobError("tensor %s %s has work %d, above the tensor work bound %d"
+                       % (a, b, work, MAX_TENSOR_WORK))
+    decomposition = tensor_decompose_k(lwa, lwb)
+    criterion = tp_irreducible_criterion(lwa, lwb)
+    result = {"left": a, "right": b, "decomposition": decomposition.to_json(),
+              "totalDim": decomposition.total_dim, "irreducibleCriterion": criterion,
+              "weylCriterion": criterion, "compositumDegree": compositum_degree(lwa, lwb)}
+    lines = ["%d x [%s]  (degree %d, dimK %d)" % (
+        part["mult"], _fmt_lweight(part["class"]), part["degree"], part["dimK"])
+        for part in result["decomposition"]]
+    lines.append("total dim %d; irreducible: %s; compositum degree %d" % (
+        result["totalDim"], criterion, result["compositumDegree"]))
+    return result, lines
 
-    if cmd == "embedding-rank":
-        a, b = args
-        rank, injective = tensor_embedding_rank(job.lweight(a), job.lweight(b))
-        return {"left": a, "right": b, "rank": rank, "injective": injective}
 
-    if cmd == "link-chain":
-        lie_type, lam_text, mu_text = args
-        rs = _root_system(lie_type)
-        max_steps = int(options.get("max-steps", defaults["max_steps"]))
-        if not 0 <= max_steps <= MAX_STEPS:
-            raise JobError("--max-steps must be in 0..%d, got %d" % (MAX_STEPS, max_steps))
-        chain = rs.link_chain(
-            _parse_weight(lam_text, rs.rank),
-            _parse_weight(mu_text, rs.rank),
-            max_steps,
-        )
-        return {"type": rs.lie_type, "chain": [list(w) for w in chain]}
+def _rational_split(job, opts, name):
+    w_k, w_tilde = (w.to_json() for w in job.lweight(name).rational_split())
+    return ({"name": name, "rationalPart": w_k, "rest": w_tilde},
+            ["rational part: %s" % _fmt_lweight(w_k),
+             "remainder:     %s" % _fmt_lweight(w_tilde)])
 
-    if cmd == "series-check":
-        order = int(options.get("order", defaults["order"]))
-        if order > MAX_ORDER:
-            raise JobError("--order must be at most %d, got %d" % (MAX_ORDER, order))
-        rs = _root_system(options.get("type", job.rs.lie_type))
-        if rs.rank * order > MAX_RANK_ORDER:
-            raise JobError("rank %d times --order %d is above the rank*order bound %d"
-                           % (rs.rank, order, MAX_RANK_ORDER))
-        checks = _series_suite(rs, order)
-        return {"type": rs.lie_type, "order": order,
-                "checks": checks, "allPassed": all(checks.values())}
 
-    raise JobError("unknown command %r" % cmd)
+def _dual(job, opts, name):
+    dual = job.lweight(name).dual().to_json()
+    return {"name": name, "dual": dual}, ["dual: %s" % _fmt_lweight(dual)]
+
+
+def _blocks(job, opts, *names):
+    groups = partition_blocks([job.lweight(n) for n in names])
+    blocks = [[m.to_json() for m in group] for group in groups]
+    return ({"names": list(names), "blocks": blocks},
+            ["block %d: %s" % (k, "; ".join(map(_fmt_lweight, group)))
+             for k, group in enumerate(blocks)])
+
+
+def _kx_matrix(job, opts, name):
+    node = int(opts.get("node", 1)) - 1
+    index = int(opts.get("index", 1))
+    module = build_kx_module(job.lweight(name))
+    result = {"name": name, "dim": module.dim, "primitive": module.primitive.to_json(),
+              "fixedByH": True}
+    lines = ["dim %d, primitive (%s)" % (module.dim, ",".join(result["primitive"]))]
+    if module.generator_matrices:
+        if (node, index) not in module.generator_matrices:
+            raise JobError("no generator at node %d, index %d" % (node + 1, index))
+        result["node"] = node + 1
+        result["index"] = index
+        result["matrix"] = module.matrix(node, index).to_json()
+        result["charPolySplits"] = char_poly_split_check(module, node, index)
+        lines += ["[%s]" % "  ".join("(%s)" % ",".join(e) for e in row)
+                  for row in result["matrix"]]
+        lines.append("char poly splits over conjugates: %s" % result["charPolySplits"])
+    return result, lines
+
+
+def _embedding_rank(job, opts, a, b):
+    rank, injective = tensor_embedding_rank(job.lweight(a), job.lweight(b))
+    return ({"left": a, "right": b, "rank": rank, "injective": injective},
+            ["rank %d, injective: %s" % (rank, injective)])
+
+
+def _link_chain(job, opts, lie_type, lam_text, mu_text):
+    rs = _root_system(lie_type)
+    max_steps = int(opts.get("max-steps", job.max_steps))
+    if not 0 <= max_steps <= MAX_STEPS:
+        raise JobError("--max-steps must be in 0..%d, got %d" % (MAX_STEPS, max_steps))
+    chain = rs.link_chain(_parse_weight(lam_text, rs.rank), _parse_weight(mu_text, rs.rank),
+                          max_steps)
+    chain = [list(w) for w in chain]
+    return {"type": rs.lie_type, "chain": chain}, [" -> ".join(str(w) for w in chain)]
+
+
+def _series_check(job, opts):
+    order = int(opts.get("order", job.order))
+    if order > MAX_ORDER:
+        raise JobError("--order must be at most %d, got %d" % (MAX_ORDER, order))
+    rs = _root_system(opts.get("type", job.rs.lie_type))
+    if rs.rank * order > MAX_RANK_ORDER:
+        raise JobError("rank %d times --order %d is above the rank*order bound %d"
+                       % (rs.rank, order, MAX_RANK_ORDER))
+    checks = _series_suite(rs, order)
+    passed = all(checks.values())
+    status = ", ".join("%s=%s" % (k, v) for k, v in sorted(checks.items()))
+    return ({"type": rs.lie_type, "order": order, "checks": checks, "allPassed": passed},
+            ["all passed: %s (%s)" % (passed, status)])
 
 
 def _series_suite(rs, order):
@@ -351,7 +361,7 @@ def _series_suite(rs, order):
     recovered = h_from_lambda(lam)
     binomials = h_series("a", order)
     inverse = series_inverse(lam)
-    checks = {
+    return {
         "roundTrip": all(
             recovered[s - 1] == SymPoly.var(h_symbol("a", s)) for s in range(1, order + 1)
         ),
@@ -368,67 +378,61 @@ def _series_suite(rs, order):
             lambda_alpha_identity_holds(rs, root, order) for root in rs.positive_roots
         ),
     }
-    return checks
 
 
 def _fmt_lweight(data):
     """Compact text for an l-weight in JSON form."""
-    if not data:
-        return "1"
-    return " ".join(
-        "n%d:(1-(%s)u)^%d" % (rec["node"], ",".join(rec["point"]), rec["exp"])
-        for rec in data
-    )
+    return " ".join("n%d:(1-(%s)u)^%d" % (rec["node"], ",".join(rec["point"]), rec["exp"])
+                    for rec in data) or "1"
 
 
-def _human_lines(record):
-    index, tokens, res = record["index"], record["command"], record["result"]
-    head = "[%d] %s" % (index, " ".join(tokens))
-    cmd = tokens[0]
-    lines = [head]
-    if cmd == "validate-field":
-        lines.append("  field ok: |G|=%d |H|=%d [K:Q]=%d"
-                     % (res["groupOrder"], res["subgroupOrder"], res["baseFieldDegree"]))
-    elif cmd == "lw-info":
-        line = "  degree %d, wt %s, dimF %d, dimK %d" % (
-            res["degree"], res["weight"], res["dimF"], res["dimK"])
-        if "dimWeylF" in res:
-            line += ", Weyl dims %d/%d" % (res["dimWeylF"], res["dimWeylK"])
-        lines.append(line)
-    elif cmd == "conjugates":
-        lines.append("  degree %d" % res["degree"])
-        lines.extend("  %s" % _fmt_lweight(m) for m in res["orbit"])
-    elif cmd == "tensor":
-        for part in res["decomposition"]:
-            lines.append("  %d x [%s]  (degree %d, dimK %d)" % (
-                part["mult"], _fmt_lweight(part["class"]),
-                part["degree"], part["dimK"]))
-        lines.append("  total dim %d; irreducible: %s; compositum degree %d" % (
-            res["totalDim"], res["irreducibleCriterion"], res["compositumDegree"]))
-    elif cmd == "rational-split":
-        lines.append("  rational part: %s" % _fmt_lweight(res["rationalPart"]))
-        lines.append("  remainder:     %s" % _fmt_lweight(res["rest"]))
-    elif cmd == "dual":
-        lines.append("  dual: %s" % _fmt_lweight(res["dual"]))
-    elif cmd == "blocks":
-        for k, group in enumerate(res["blocks"]):
-            lines.append("  block %d: %s" % (k, "; ".join(map(_fmt_lweight, group))))
-    elif cmd == "kx-matrix":
-        lines.append("  dim %d, primitive (%s)" % (res["dim"], ",".join(res["primitive"])))
-        for row in res.get("matrix", []):
-            lines.append("  [%s]" % "  ".join("(%s)" % ",".join(e) for e in row))
-        if "charPolySplits" in res:
-            lines.append("  char poly splits over conjugates: %s" % res["charPolySplits"])
-    elif cmd == "embedding-rank":
-        lines.append("  rank %d, injective: %s" % (res["rank"], res["injective"]))
-    elif cmd == "link-chain":
-        lines.append("  " + " -> ".join(str(w) for w in res["chain"]))
-    elif cmd == "series-check":
-        status = ", ".join("%s=%s" % (k, v) for k, v in sorted(res["checks"].items()))
-        lines.append("  all passed: %s (%s)" % (res["allPassed"], status))
-    else:
-        lines.append("  " + json.dumps(res, sort_keys=True))
-    return "\n".join(lines)
+# command name -> (function, number of positional arguments or ONE_OR_MORE,
+# the --options it takes).  A function takes the job, the options given and
+# the positional arguments, and returns the JSON result and its report lines.
+ONE_OR_MORE = "one or more"
+COMMANDS = {
+    "validate-field": (_validate_field, 0, ()),
+    "lw-info": (_lw_info, 1, ()),
+    "conjugates": (_conjugates, 1, ()),
+    "tensor": (_tensor, 2, ()),
+    "rational-split": (_rational_split, 1, ()),
+    "dual": (_dual, 1, ()),
+    "blocks": (_blocks, ONE_OR_MORE, ()),
+    "kx-matrix": (_kx_matrix, 1, ("node", "index")),
+    "embedding-rank": (_embedding_rank, 2, ()),
+    "link-chain": (_link_chain, 3, ("max-steps",)),
+    "series-check": (_series_check, 0, ("order", "type")),
+}
+
+
+def _run_command(job, tokens):
+    """Check one command's tokens against COMMANDS and run it: (JSON result,
+    report lines)."""
+    positional, pairs = [], []
+    rest = iter(tokens)
+    for tok in rest:
+        if tok.startswith("--"):
+            pairs.append((tok[2:], next(rest, None)))
+        else:
+            positional.append(tok)
+    if not positional:
+        raise JobError("empty command")
+    cmd, args = positional[0], positional[1:]
+    if cmd not in COMMANDS:
+        raise JobError("unknown command %r" % cmd)
+    function, arity, known = COMMANDS[cmd]
+    options = {}
+    for key, value in pairs:
+        if key not in known:
+            raise JobError("%s has no option --%s" % (cmd, key))
+        if key in options:
+            raise JobError("%s: option --%s given twice" % (cmd, key))
+        if value is None:
+            raise JobError("%s: option --%s needs a value" % (cmd, key))
+        options[key] = value
+    if not args if arity == ONE_OR_MORE else len(args) != arity:
+        raise JobError("%s takes %s argument(s), got %d" % (cmd, arity, len(args)))
+    return function(job, options, *args)
 
 
 def _report_path_error(json_path):
@@ -450,27 +454,20 @@ def run(job_path, json_path=None, quiet=False, max_steps=8, order=8):
     try:
         with open(job_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        job = Job(data)
+        job = Job(data, max_steps, order)
+    except LoopRepError as exc:
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 1
     except (OSError, ValueError, JobError) as exc:
         print("error: malformed job file: %s" % exc, file=sys.stderr)
         return 2
 
-    try:
-        job.load()
-    except JobError as exc:
-        print("error: malformed job file: %s" % exc, file=sys.stderr)
-        return 2
-    except LoopRepError as exc:
-        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 1
-
-    defaults = {"max_steps": max_steps, "order": order}
     results = []
     for index, tokens in enumerate(job.commands):
         try:
-            record = _run_command(job, tokens, defaults)
+            result, lines = _run_command(job, tokens)
         except (JobError, ValueError) as exc:
-            # ValueError covers arity and literal mistakes in the command
+            # ValueError covers literal mistakes in the command
             print("error: command %d: %s" % (index, exc), file=sys.stderr)
             return 2
         except LoopRepError as exc:
@@ -479,10 +476,10 @@ def run(job_path, json_path=None, quiet=False, max_steps=8, order=8):
                 file=sys.stderr,
             )
             return 1
-        record = {"index": index, "command": tokens, "result": record}
-        results.append(record)
+        results.append({"index": index, "command": tokens, "result": result})
         if not quiet:
-            print(_human_lines(record))
+            print("\n".join(["[%d] %s" % (index, " ".join(tokens))]
+                            + ["  " + line for line in lines]))
 
     if json_path:
         report = {"schemaVersion": SCHEMA_VERSION, "results": results}

@@ -30,14 +30,14 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import Singular, ZeroDivisor
-from .record import Record
+from .record import Immutable, Record
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class PolyQ:
+class PolyQ(Immutable):
     """Univariate polynomial over Q, coefficients stored ascending in degree.
 
     The zero polynomial has an empty coefficient tuple; otherwise the leading
@@ -51,9 +51,6 @@ class PolyQ:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyQ is immutable")
 
     @classmethod
     def x(cls, degree: int = 1) -> "PolyQ":
@@ -172,7 +169,7 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     return a.monic()
 
 
-class NumberField:
+class NumberField(Immutable):
     """The quotient ring Q[theta]/(m) for a monic modulus m of degree >= 1.
 
     Arithmetic assumes m is irreducible; a reducible modulus is detected at
@@ -206,9 +203,6 @@ class NumberField:
             for r in rows
         ))
         object.__setattr__(self, "fold_den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NumberField is immutable")
 
     def from_numerators(self, nums, den: int) -> "FieldElem":
         """The element with coordinates nums[i] / den (den a positive int)."""
@@ -254,7 +248,7 @@ class NumberField:
         return "NumberField(%r)" % (self.modulus,)
 
 
-class FieldElem:
+class FieldElem(Immutable):
     """An element of a NumberField, as a coordinate vector in powers of theta.
 
     Canonical integer form: coordinate i is nums[i] / den, with exactly
@@ -275,9 +269,6 @@ class FieldElem:
         _set(self, "field", field)
         _set(self, "nums", tuple(c.numerator * (den // c.denominator) for c in coords))
         _set(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
 
     @property
     def coords(self) -> tuple:
@@ -448,7 +439,7 @@ def _combine(a: FieldElem, b: FieldElem, sign: int) -> FieldElem:
     return a.field.from_numerators(nums, da)
 
 
-class MatrixL:
+class MatrixL(Immutable):
     """Dense matrix over a number field; rows of FieldElem entries."""
 
     __slots__ = ("field", "rows")
@@ -465,9 +456,6 @@ class MatrixL:
                     raise ValueError("entries must live in the given field")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixL is immutable")
 
     @classmethod
     def identity(cls, field: NumberField, n: int) -> "MatrixL":

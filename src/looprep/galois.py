@@ -30,9 +30,10 @@ from .exact import (
     int_kernel_basis,
     poly_gcd,
 )
+from .record import Immutable
 
 
-class GaloisContext:
+class GaloisContext(Immutable):
     """A validated Galois field L/Q with group G and subgroup H.
 
     Group elements are indices into ``images``; element 0 is the identity.
@@ -59,9 +60,6 @@ class GaloisContext:
         object.__setattr__(self, "k_basis", k_basis)
         object.__setattr__(self, "subgroup_generators", subgroup_generators)
         object.__setattr__(self, "_point_rows", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaloisContext is immutable")
 
     # -- basic data
 

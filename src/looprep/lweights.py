@@ -20,10 +20,18 @@ from fractions import Fraction
 from .errors import ContextMismatch, NotDominant
 from .exact import FieldElem
 from .galois import GaloisContext
+from .record import Immutable
 from .roots import RootSystem
 
 
-class LWeight:
+def _check_ints(node, exp):
+    """A node index and an exponent are ints: a bool, a float or a string
+    is rejected, not coerced."""
+    if type(node) is not int or type(exp) is not int:
+        raise ValueError("node %r and exponent %r must be integers" % (node, exp))
+
+
+class LWeight(Immutable):
     """Finitely supported (node, point) -> exponent map over a Galois context.
 
     Node indices are 0-based positions in the Bourbaki ordering of the
@@ -36,16 +44,16 @@ class LWeight:
     def __init__(self, ctx: GaloisContext, rs: RootSystem, factors=None):
         clean = {}
         for (node, point), exp in (factors or {}).items():
-            exp = int(exp)
+            _check_ints(node, exp)
             if exp == 0:
                 continue
             if not isinstance(point, FieldElem) or point.field != ctx.field:
                 raise ValueError("spectral points must be elements of L")
             if not point:
                 raise ValueError("spectral points must be nonzero")
-            if not 0 <= int(node) < rs.rank:
+            if not 0 <= node < rs.rank:
                 raise ValueError("node index out of range")
-            key = (int(node), point)
+            key = (node, point)
             clean[key] = clean.get(key, 0) + exp
         clean = {k: e for k, e in clean.items() if e}
         object.__setattr__(self, "ctx", ctx)
@@ -64,9 +72,6 @@ class LWeight:
         object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "factors", factors)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LWeight is immutable")
 
     @classmethod
     def identity(cls, ctx, rs):
@@ -271,8 +276,9 @@ class LWeight:
         factors = {}
         for rec in data:
             point = ctx.field.elem([Fraction(c) for c in rec["point"]])
-            key = (int(rec["node"]) - 1, point)
-            factors[key] = factors.get(key, 0) + int(rec["exp"])
+            _check_ints(rec["node"], rec["exp"])
+            key = (rec["node"] - 1, point)
+            factors[key] = factors.get(key, 0) + rec["exp"]
         return cls(ctx, rs, factors)
 
     def __repr__(self):

@@ -1,5 +1,6 @@
-"""Immutable records: a slots class with the constructor, equality, hash and
-repr of a frozen dataclass, without importing dataclasses (which pulls in
+"""Immutable values: a slots-only base whose attributes can be neither set
+nor deleted, and records on it with the constructor, equality, hash and repr
+of a frozen dataclass, without importing dataclasses (which pulls in
 inspect, ast and typing at every interpreter start)."""
 
 from operator import attrgetter
@@ -7,7 +8,21 @@ from operator import attrgetter
 _set = object.__setattr__
 
 
-class Record:
+class Immutable:
+    """Base of the library's value classes.  A subclass declares __slots__
+    and sets its fields once, in its constructor, with object.__setattr__;
+    setting or deleting an attribute afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class Record(Immutable):
     """Fields are the names in a subclass's __slots__, set once by the
     constructor from positional or keyword arguments.  Equality, hash and
     repr use every field except those named in _hidden; equality holds only
@@ -31,12 +46,6 @@ class Record:
                             % (type(self).__name__, names, tuple(kwargs)))
         for name in names:
             _set(self, name, kwargs[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def __delattr__(self, name):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -22,6 +22,7 @@ from .errors import (
     UnknownType,
 )
 from .exact import int_inverse, smith_normal_form
+from .record import Immutable
 
 _E_EDGES = {
     6: [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)],
@@ -99,7 +100,7 @@ def _root_lengths(cartan):
     return tuple(int(x) for x in d)
 
 
-class RootSystem:
+class RootSystem(Immutable):
     """Cartan data, positive roots, and weight combinatorics for one type."""
 
     __slots__ = (
@@ -145,9 +146,6 @@ class RootSystem:
         object.__setattr__(self, "_simple_funds", tuple(
             tuple(row[i] for row in cartan) for i in range(rank)
         ))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootSystem is immutable")
 
     def __repr__(self):
         return "RootSystem(%s)" % self.lie_type

@@ -26,6 +26,7 @@ from operator import or_
 from threading import Lock
 
 from .errors import BadConstantTerm, ExponentOverflow, ZeroPoint
+from .record import Immutable
 from .roots import RootSystem
 
 # Series orders up to MAX_ORDER keep every exponent within its slot: the u^n
@@ -143,7 +144,7 @@ def _product(acc) -> "SymPoly":
     return SymPoly(acc)
 
 
-class SymPoly:
+class SymPoly(Immutable):
     """Sparse polynomial: dict from packed monomial to nonzero coefficient.
 
     Coefficients are ints, or Fractions and field elements where rational or
@@ -154,9 +155,6 @@ class SymPoly:
 
     def __init__(self, terms=None):
         object.__setattr__(self, "terms", {m: c for m, c in (terms or {}).items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymPoly is immutable")
 
     @classmethod
     def const(cls, c):
@@ -271,7 +269,7 @@ def _scaled_down(p: SymPoly, d: int) -> SymPoly:
                     for m, c in p.terms.items()})
 
 
-class TruncSeries:
+class TruncSeries(Immutable):
     """Power series truncated at a fixed order.
 
     Stored scaled: scaled[n] is n! times the u^n coefficient, a SymPoly, so
@@ -294,9 +292,6 @@ class TruncSeries:
             scaled.append(SymPoly({m: _exact(x * fact) for m, x in c.terms.items()}))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "scaled", tuple(scaled))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
 
     @classmethod
     def _from_scaled(cls, scaled) -> "TruncSeries":

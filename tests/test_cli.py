@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looprep import LWeight, cli, lambda_from_h, root_system, tp_irreducible_criterion
+from looprep.classify import _tensor_f_level
 from looprep.cli import main, run
+
+from conftest import random_dominant
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 GAUSSIAN_FIELD = {
@@ -341,6 +347,178 @@ class TestExitCodes:
         assert rep["results"][0]["result"]["chain"] == [[0], [2], [4]]
 
 
+# a valid call of every command on the job of write_job: (arguments, options)
+VALID_CALLS = {
+    "validate-field": ([], {}),
+    "lw-info": (["p"], {}),
+    "conjugates": (["p"], {}),
+    "tensor": (["p", "q"], {}),
+    "rational-split": (["p"], {}),
+    "dual": (["p"], {}),
+    "blocks": (["p", "pc"], {}),
+    "kx-matrix": (["p"], {"node": "1", "index": "1"}),
+    "embedding-rank": (["p", "pc"], {}),
+    "link-chain": (["A1", "4", "0"], {"max-steps": "5"}),
+    "series-check": ([], {"order": "2", "type": "A1"}),
+}
+
+
+def command_text(name, args, options):
+    return " ".join([name] + args + ["--%s %s" % item for item in options.items()])
+
+
+def malformed_calls():
+    """(id, command) for every COMMANDS entry: one argument too many and one
+    too few (none at all for ONE_OR_MORE), an unknown option, and each
+    declared option given twice."""
+    for name, (args, options) in sorted(VALID_CALLS.items()):
+        arity, known = cli.COMMANDS[name][1:]
+        if arity == cli.ONE_OR_MORE:
+            yield name + "-none", command_text(name, [], options)
+        else:
+            yield name + "-too-many", command_text(name, args + ["p"], options)
+            if arity:
+                yield name + "-too-few", command_text(name, args[:-1], options)
+        yield name + "-unknown-option", command_text(name, args, dict(options, bogus="1"))
+        for key in known:
+            yield (name + "-repeated-" + key,
+                   command_text(name, args, options) + " --%s %s" % (key, options[key]))
+
+
+MALFORMED_CALLS = list(malformed_calls())
+
+
+class TestCommandTable:
+    """Arity and options come from cli.COMMANDS: a wrong count, an unknown or
+    repeated option exits 2 with one line that names the command."""
+
+    def test_valid_calls_cover_the_table(self, tmp_path):
+        assert set(VALID_CALLS) == set(cli.COMMANDS)
+        for name, (args, options) in VALID_CALLS.items():
+            assert set(options) == set(cli.COMMANDS[name][2])
+        rep = run_json(tmp_path, [command_text(name, *call)
+                                  for name, call in sorted(VALID_CALLS.items())])
+        assert len(rep["results"]) == len(VALID_CALLS)
+
+    @pytest.mark.parametrize("command", [c for _, c in MALFORMED_CALLS],
+                             ids=[i for i, _ in MALFORMED_CALLS])
+    def test_malformed_call_exits_2(self, tmp_path, capsys, command):
+        job = write_job(tmp_path, ["validate-field", command])
+        assert run(str(job), quiet=True) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: command 1: %s" % command.split()[0])
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        "link-chain A1 2 0 --max-step 1",
+        "kx-matrix p --node 1 --node 2",
+        "validate-field x",
+        "dual p q",
+        "kx-matrix p --node",
+    ], ids=["option-typo", "repeated-option", "extra-argument", "wrong-arity",
+            "missing-value"])
+    def test_exit_2_naming_the_command(self, tmp_path, src_env, command):
+        # a misspelt option must not fall back to the default it misspells
+        job = write_job(tmp_path, [command])
+        out = subprocess.run(
+            [sys.executable, "-m", "looprep.cli", str(job), "--quiet"],
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: command 0: %s" % command.split()[0])
+        assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("lie_type", [5, None, ["A1"], {"A": 1}])
+    def test_non_string_lie_type_is_malformed(self, tmp_path, capsys, lie_type):
+        job = write_job(tmp_path, ["validate-field"], lie_type=lie_type)
+        assert run(str(job), quiet=True) == 2
+        assert "lieType must be a string" in capsys.readouterr().err
+
+    def test_unknown_type_name_is_a_validation_failure(self, tmp_path, capsys):
+        job = write_job(tmp_path, ["validate-field"], lie_type="Z2")
+        assert run(str(job), quiet=True) == 1
+        assert "UnknownType" in capsys.readouterr().err
+
+
+def rational_records(exps, start=1):
+    """A1 l-weight records at the rational points start, start + 1, ..."""
+    return [{"node": 1, "point": [str(start + k), "0"], "exp": e} for k, e in enumerate(exps)]
+
+
+class TestTensorBound:
+    """tensor is rejected before any multiplicity map is built when its work
+    measure is above MAX_TENSOR_WORK; B3 with exponent 42 at each node ran
+    past 20 s within MAX_EXPONENT."""
+
+    # eight shared points: 8 points times 4^4 * 2^4 constituents = 2^15
+    AT_BOUND = rational_records([3, 3, 3, 3, 1, 1, 1, 1])
+
+    def test_bound_is_inclusive(self, tmp_path, qi, a1):
+        assert cli.MAX_TENSOR_WORK == 2 ** 15
+        lw = LWeight.from_json(qi, a1, self.AT_BOUND)
+        assert cli._tensor_work(lw, lw) == cli.MAX_TENSOR_WORK
+        rep = run_json(tmp_path, ["tensor a a"], lweights={"a": self.AT_BOUND})
+        assert rep["results"][0]["result"]["totalDim"] == 4 ** 8 * 2 ** 8
+
+    @pytest.mark.parametrize("lie_type, lweights, work", [
+        ("A1", {"a": AT_BOUND, "b": AT_BOUND + rational_records([1], start=9)},
+         9 * 4 ** 4 * 2 ** 4),
+        ("B3", {"a": [{"node": n, "point": ["0", "1"], "exp": 42} for n in (1, 2, 3)],
+                "b": [{"node": n, "point": ["0", "1"], "exp": 42} for n in (1, 2, 3)]},
+         None),
+    ], ids=["one-more-point", "b3-exponent-42"])
+    def test_above_the_bound_is_malformed(self, tmp_path, capsys, monkeypatch, lie_type,
+                                          lweights, work):
+        monkeypatch.setattr(cli, "tensor_decompose_k",
+                            lambda a, b: pytest.fail("tensor decomposed"))
+        job = write_job(tmp_path, ["tensor a b"], lweights=lweights, lie_type=lie_type)
+        assert run(str(job), quiet=True) == 2
+        err = capsys.readouterr().err
+        assert "above the tensor work bound %d" % cli.MAX_TENSOR_WORK in err
+        if work is not None:
+            assert "has work %d," % work in err
+
+    def test_not_dominant_stays_a_validation_failure(self, tmp_path, capsys):
+        job = write_job(tmp_path, ["tensor n p"], lweights={
+            "n": [{"node": 1, "point": ["0", "1"], "exp": -64}, {"node": 1, "point": ["0", "2"],
+                                                                  "exp": -64}],
+            "p": [{"node": 1, "point": ["0", "1"], "exp": 1}]})
+        assert run(str(job), quiet=True) == 1
+        assert "NotDominant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ctx_name, rs_name", [
+        ("qi", "a1"), ("qi", "a2"), ("cyclo5", "a2"), ("zeta8", "a1")])
+    def test_work_bounds_the_constituents(self, settings_by_name, ctx_name, rs_name):
+        # the F-level constituents over all pairs (a, b'), b' a conjugate of
+        # b, are at most the work
+        ctx, rs = settings_by_name[ctx_name], settings_by_name[rs_name]
+        rng = random.Random(ctx_name + rs_name)
+        for _ in range(25):
+            a = random_dominant(ctx, rs, rng, max_support=4, max_exp=3)
+            b = random_dominant(ctx, rs, rng, max_support=4, max_exp=3)
+            constituents = sum(len(_tensor_f_level(a, bp)) for bp in b.conjugacy_class()[0])
+            assert constituents <= cli._tensor_work(a, b)
+
+
+class TestReadmeGolden:
+    """The README job's stdout and --json report are pinned byte for byte in
+    tests/golden."""
+
+    def test_stdout_and_report(self, tmp_path, src_env):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(readme_job()))
+        report = tmp_path / "report.json"
+        out = subprocess.run(
+            [sys.executable, "-m", "looprep.cli", str(path), "--json", str(report)],
+            capture_output=True, env=src_env, timeout=120,
+        )
+        assert (out.returncode, out.stderr) == (0, b"")
+        with open(os.path.join(GOLDEN, "readme.stdout"), "rb") as fh:
+            assert out.stdout == fh.read()
+        with open(os.path.join(GOLDEN, "readme.json"), "rb") as fh:
+            assert report.read_bytes() == fh.read()
+
+
 class TestReportPath:
     """A --json path that cannot take the report exits 2 before any command
     runs; it used to run every command and die with a traceback."""
@@ -487,6 +665,8 @@ REPORT_PATHS = ["report.json", ".", os.path.join("nosuch", "report.json")]
 TOKENS = ["p", "q", "pc", "nosuch", "", "1", "-1", "0", "4", "1,1", "1,1,1", "A1", "A2",
           "G2", "B2", "Z9", "E8", "--node", "--index", "--order", "--max-steps", "--type",
           "--bogus", "2", "12", "13", "16", "17", "3/2", "x", "tensor", "blocks"]
+# misspelt options, each drawn with a value
+OPTION_TYPOS = ["--max-step", "--maxsteps", "--nodes", "--Index", "--ordre", "--typ", "--"]
 
 
 def mutate_field(data, job):
@@ -516,12 +696,21 @@ def mutate_command(data, job):
     commands = job["commands"]
     index = data.draw(st.integers(0, len(commands) - 1))
     tokens = commands[index].split() if isinstance(commands[index], str) else []
-    action = data.draw(st.sampled_from(["replace", "insert", "drop", "whole"]))
+    action = data.draw(st.sampled_from(["replace", "insert", "drop", "whole", "typo",
+                                        "repeat", "extra"]))
     if action == "whole":
         commands[index] = data.draw(st.sampled_from([5, None, [], [1, "p"], ["lw-info", "p"]]))
         return
     position = data.draw(st.integers(0, len(tokens)))
-    if action == "drop":
+    options = [i for i, tok in enumerate(tokens[:-1]) if tok.startswith("--")]
+    if action == "typo":
+        tokens[position:position] = [data.draw(st.sampled_from(OPTION_TYPOS)), "1"]
+    elif action == "repeat" and options:
+        i = data.draw(st.sampled_from(options))
+        tokens[position:position] = tokens[i:i + 2]
+    elif action in ("repeat", "extra"):
+        tokens.append(data.draw(st.sampled_from(["p", "q", "1", "A1", "1,1"])))
+    elif action == "drop":
         del tokens[position:position + 1]
     else:
         token = data.draw(st.sampled_from(TOKENS))

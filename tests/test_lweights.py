@@ -27,6 +27,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LWeight(qi, a1, {(1, qi.field.gen): 1})
 
+    @pytest.mark.parametrize("node, exp", [(0, 1.7), (0.9, 1), ("0", 1), (0, "3"), (True, 1),
+                                           (0, True), (0, 1.0), (0, None)])
+    def test_non_int_node_or_exponent_rejected(self, qi, a1, node, exp):
+        # truncating 1.7 or 0.9, or coercing '3' or True, would change the l-weight silently
+        with pytest.raises(ValueError, match="must be integers"):
+            LWeight(qi, a1, {(node, qi.field.gen): exp})
+        record = {"node": node + 1 if type(node) is int else node, "point": ["0", "1"],
+                  "exp": exp}
+        with pytest.raises(ValueError, match="must be integers"):
+            LWeight.from_json(qi, a1, [record])
+
     def test_json_round_trip(self, qi, a2):
         lw = LWeight(qi, a2, {(0, qi.field.gen): 2, (1, qi.field.scalar(3)): -1})
         assert LWeight.from_json(qi, a2, lw.to_json()) == lw

@@ -1,5 +1,6 @@
 """The immutable records SmithForm, IrrClass, Decomposition and KXModule keep
-the constructor, equality, hash and repr of frozen dataclasses."""
+the constructor, equality, hash and repr of frozen dataclasses, and every
+value class refuses to set or delete an attribute."""
 
 import pytest
 
@@ -8,12 +9,50 @@ from looprep import (
     IrrClass,
     KXModule,
     LWeight,
+    MatrixL,
+    PolyQ,
     SmithForm,
+    SymPoly,
     build_kx_module,
     classify,
+    lambda_from_h,
     smith_normal_form,
+    spectral_character,
     tensor_decompose_k,
 )
+from looprep.record import Immutable
+
+
+def value_instances(qi, a1):
+    """One instance of every value class of the library."""
+    p = LWeight.single(qi, a1, 0, qi.field.gen)
+    return [
+        PolyQ([1, 2]), qi.field, qi.field.one, MatrixL.identity(qi.field, 2), qi, p,
+        spectral_character(p), a1, SymPoly.const(3), lambda_from_h("a", 2),
+        smith_normal_form([[2]]), classify(p), tensor_decompose_k(p, p), build_kx_module(p),
+    ]
+
+
+class TestImmutable:
+    def test_every_value_class_derives_from_the_base(self, qi, a1):
+        classes = {type(v).__name__ for v in value_instances(qi, a1)}
+        assert classes == {"PolyQ", "NumberField", "FieldElem", "MatrixL", "GaloisContext",
+                           "LWeight", "SpectralCharacter", "RootSystem", "SymPoly",
+                           "TruncSeries", "SmithForm", "IrrClass", "Decomposition", "KXModule"}
+        for value in value_instances(qi, a1):
+            assert isinstance(value, Immutable) and not hasattr(value, "__dict__")
+
+    def test_set_and_delete_raise(self, qi, a1):
+        for value in value_instances(qi, a1):
+            name = type(value).__slots__[0]
+            before = getattr(value, name)
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(value, name)
+            with pytest.raises(AttributeError, match="is immutable"):
+                value.extra = 1
+            assert getattr(value, name) is before
 
 
 class TestSmithForm:

@@ -2,10 +2,12 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 
 import looprep
+from looprep import cli
 
 SRC = os.path.dirname(os.path.abspath(looprep.__file__))
 
@@ -101,9 +103,10 @@ def test_unchecked_constructor_stays_private():
     assert callers == {"lweights.py", "classify.py"}
 
 
-def test_no_dataclasses_or_typing_in_library():
+def test_no_dataclasses_typing_or_inspect_in_library():
     # importing dataclasses pulls in inspect, ast, dis, tokenize and typing,
-    # which every fresh interpreter (every CLI job) would pay for
+    # which every fresh interpreter (every CLI job) would pay for; the CLI
+    # takes arities from its command table, not from signature introspection
     found = []
     for name, node in library_nodes():
         if isinstance(node, ast.Import):
@@ -113,8 +116,21 @@ def test_no_dataclasses_or_typing_in_library():
         else:
             continue
         found += ["%s:%d %s" % (name, node.lineno, m) for m in modules
-                  if m.split(".")[0] in ("dataclasses", "typing")]
+                  if m.split(".")[0] in ("dataclasses", "typing", "inspect")]
     assert found == []
+
+
+def test_readme_lists_the_command_table():
+    # the "Supported commands" sentence names every command and option of
+    # cli.COMMANDS and nothing else
+    with open(os.path.join(os.path.dirname(SRC), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    sentence = re.search(r"Supported commands: (.*?)\.\s", text, re.S).group(1)
+    spans = re.findall(r"`([^`]+)`", sentence)
+    assert {span.split()[0] for span in spans} == set(cli.COMMANDS)
+    declared = {option for _, _, options in cli.COMMANDS.values() for option in options}
+    assert set(re.findall(r"--([a-z-]+)", sentence)) == declared
 
 
 def test_cli_import_loads_no_dataclasses(src_env):
