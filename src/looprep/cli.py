@@ -304,8 +304,8 @@ def _blocks(job, opts, *names):
 
 
 def _kx_matrix(job, opts, name):
-    node = int(opts.get("node", 1)) - 1
-    index = int(opts.get("index", 1))
+    node = opts.get("node", 1) - 1
+    index = opts.get("index", 1)
     module = build_kx_module(job.lweight(name))
     result = {"name": name, "dim": module.dim, "primitive": module.primitive.to_json(),
               "fixedByH": True}
@@ -331,9 +331,9 @@ def _embedding_rank(job, opts, a, b):
 
 def _link_chain(job, opts, lie_type, lam_text, mu_text):
     rs = _root_system(lie_type)
-    max_steps = int(opts.get("max-steps", job.max_steps))
+    max_steps = opts.get("max-steps", job.max_steps)
     if not 0 <= max_steps <= MAX_STEPS:
-        raise JobError("--max-steps must be in 0..%d, got %d" % (MAX_STEPS, max_steps))
+        raise JobError("link-chain: --max-steps must be in 0..%d, got %d" % (MAX_STEPS, max_steps))
     chain = rs.link_chain(_parse_weight(lam_text, rs.rank), _parse_weight(mu_text, rs.rank),
                           max_steps)
     chain = [list(w) for w in chain]
@@ -341,9 +341,9 @@ def _link_chain(job, opts, lie_type, lam_text, mu_text):
 
 
 def _series_check(job, opts):
-    order = int(opts.get("order", job.order))
-    if order > MAX_ORDER:
-        raise JobError("--order must be at most %d, got %d" % (MAX_ORDER, order))
+    order = opts.get("order", job.order)
+    if not 1 <= order <= MAX_ORDER:
+        raise JobError("series-check: --order must be in 1..%d, got %d" % (MAX_ORDER, order))
     rs = _root_system(opts.get("type", job.rs.lie_type))
     if rs.rank * order > MAX_RANK_ORDER:
         raise JobError("rank %d times --order %d is above the rank*order bound %d"
@@ -387,21 +387,22 @@ def _fmt_lweight(data):
 
 
 # command name -> (function, number of positional arguments or ONE_OR_MORE,
-# the --options it takes).  A function takes the job, the options given and
-# the positional arguments, and returns the JSON result and its report lines.
+# the --options it takes, mapped to the types of their values).  A function
+# takes the job, the parsed options and the positional arguments, and returns
+# the JSON result and its report lines.
 ONE_OR_MORE = "one or more"
 COMMANDS = {
-    "validate-field": (_validate_field, 0, ()),
-    "lw-info": (_lw_info, 1, ()),
-    "conjugates": (_conjugates, 1, ()),
-    "tensor": (_tensor, 2, ()),
-    "rational-split": (_rational_split, 1, ()),
-    "dual": (_dual, 1, ()),
-    "blocks": (_blocks, ONE_OR_MORE, ()),
-    "kx-matrix": (_kx_matrix, 1, ("node", "index")),
-    "embedding-rank": (_embedding_rank, 2, ()),
-    "link-chain": (_link_chain, 3, ("max-steps",)),
-    "series-check": (_series_check, 0, ("order", "type")),
+    "validate-field": (_validate_field, 0, {}),
+    "lw-info": (_lw_info, 1, {}),
+    "conjugates": (_conjugates, 1, {}),
+    "tensor": (_tensor, 2, {}),
+    "rational-split": (_rational_split, 1, {}),
+    "dual": (_dual, 1, {}),
+    "blocks": (_blocks, ONE_OR_MORE, {}),
+    "kx-matrix": (_kx_matrix, 1, {"node": int, "index": int}),
+    "embedding-rank": (_embedding_rank, 2, {}),
+    "link-chain": (_link_chain, 3, {"max-steps": int}),
+    "series-check": (_series_check, 0, {"order": int, "type": str}),
 }
 
 
@@ -429,7 +430,10 @@ def _run_command(job, tokens):
             raise JobError("%s: option --%s given twice" % (cmd, key))
         if value is None:
             raise JobError("%s: option --%s needs a value" % (cmd, key))
-        options[key] = value
+        try:
+            options[key] = known[key](value)
+        except ValueError:
+            raise JobError("%s: option --%s takes an integer, got %r" % (cmd, key, value))
     if not args if arity == ONE_OR_MORE else len(args) != arity:
         raise JobError("%s takes %s argument(s), got %d" % (cmd, arity, len(args)))
     return function(job, options, *args)

@@ -462,16 +462,6 @@ class MatrixL(Immutable):
         one, zero = field.one, field.zero
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, field: NumberField, entries) -> "MatrixL":
-        entries = list(entries)
-        zero = field.zero
-        return cls(
-            field,
-            [[entries[i] if i == j else zero for j in range(len(entries))]
-             for i in range(len(entries))],
-        )
-
     @property
     def nrows(self):
         return len(self.rows)
@@ -485,18 +475,6 @@ class MatrixL(Immutable):
 
     def __hash__(self):
         return hash(self.rows)
-
-    def __add__(self, other: "MatrixL") -> "MatrixL":
-        return MatrixL(
-            self.field,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other: "MatrixL") -> "MatrixL":
-        return MatrixL(
-            self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElem)):

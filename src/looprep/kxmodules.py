@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, islice
 
 from .errors import CertificateFailed, NotDominant, PrimitiveSearchFailed
-from .exact import MatrixL, _dot, char_poly, int_rref
+from .exact import MatrixL, _dot, int_rref
 from .lweights import LWeight
 from .record import Record
 
@@ -193,31 +193,44 @@ def _multiplication_matrix(ctx, reps, embedding, value) -> MatrixL:
 
 
 def multiplication_matrix(module: KXModule, value) -> MatrixL:
-    """Matrix of multiplication by any element of K(omega) on the power basis."""
+    """W^-1 diag(sigma_j(value)) W for any value in L, W the Vandermonde
+    matrix of rows (1, t_j, ..., t_j^(d-1)).  For value in K(omega) this is
+    multiplication by value on the power basis, with entries in K; for any
+    other value the entries need not be fixed by H."""
     return _multiplication_matrix(
         module.lweight.ctx, module.coset_reps, module.interpolation, value
     )
 
 
 def char_poly_split_check(module: KXModule, node: int, index: int) -> bool:
-    """Whether charpoly(M_{node,index}) equals prod_j (u - sigma_j(s)) exactly.
+    """Whether M = M_{node,index} satisfies w_j M = sigma_j(s) w_j for the
+    eigenrows w_j = (1, t_j, ..., t_j^(d-1)), s the generator's eigenvalue.
 
-    This certifies that base change splits the module into the conjugate
-    one-dimensional eigenlines.
+    False unless M is d x d and the t_j are d distinct elements, so that the
+    w_j form an invertible Vandermonde matrix W.  Then W M = diag(sigma_j(s)) W
+    proves M diagonalizable with characteristic polynomial prod_j (u -
+    sigma_j(s)): base change splits the module into the conjugate
+    one-dimensional eigenlines.  O(d^3) field products.
     """
     ctx = module.lweight.ctx
     field = ctx.field
+    dim = module.dim
     value = dict(module.lweight.coefficient_values())[(node, index)]
-    actual = char_poly(module.matrix(node, index))
-    expected = [field.one]
-    for h in module.coset_reps:
-        root = ctx.apply(h, value)
-        nxt = [field.zero] * (len(expected) + 1)
-        for k, c in enumerate(expected):
-            nxt[k] = nxt[k] - c * root
-            nxt[k + 1] = nxt[k + 1] + c
-        expected = nxt
-    return actual == expected
+    matrix = module.matrix(node, index)
+    conjugates = [ctx.apply(h, module.primitive) for h in module.coset_reps]
+    if not len(set(conjugates)) == len(conjugates) == matrix.nrows == matrix.ncols == dim:
+        return False
+    columns = [[e.terms() for e in column] for column in zip(*matrix.rows)]
+    for h, t in zip(module.coset_reps, conjugates):
+        powers = [field.one]
+        for _ in range(dim - 1):
+            powers.append(powers[-1] * t)
+        row = [p.terms() for p in powers]
+        eigenvalue = ctx.apply(h, value)
+        if any(_dot(row, column, field) != eigenvalue * p
+               for column, p in zip(columns, powers)):
+            return False
+    return True
 
 
 def iso_test(a: LWeight, b: LWeight) -> bool:

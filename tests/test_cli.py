@@ -439,6 +439,34 @@ class TestCommandTable:
         assert run(str(job), quiet=True) == 1
         assert "UnknownType" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, option", [
+        ("kx-matrix p --node %s", "node"),
+        ("kx-matrix p --index %s", "index"),
+        ("link-chain A1 4 0 --max-steps %s", "max-steps"),
+        ("series-check --order %s --type A1", "order"),
+    ], ids=["node", "index", "max-steps", "order"])
+    @pytest.mark.parametrize("value", ["x", "1.5", "two"])
+    def test_bad_integer_option_names_command_and_option(self, tmp_path, capsys, command,
+                                                         option, value):
+        job = write_job(tmp_path, ["validate-field", command % value])
+        assert run(str(job), quiet=True) == 2
+        err = capsys.readouterr().err
+        assert err == "error: command 1: %s: option --%s takes an integer, got %r\n" % (
+            command.split()[0], option, value)
+
+    @pytest.mark.parametrize("command, order", [
+        ("series-check --order 0 --type A1", 8),
+        ("series-check --order -2 --type A1", 8),
+        ("series-check --type A1", 0),
+    ], ids=["zero", "negative", "global-zero"])
+    def test_order_below_one_names_command_and_option(self, tmp_path, capsys, command,
+                                                      order):
+        job = write_job(tmp_path, [command])
+        assert run(str(job), quiet=True, order=order) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: command 0: series-check: --order must be in 1..")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 def rational_records(exps, start=1):
     """A1 l-weight records at the rational points start, start + 1, ..."""

@@ -20,8 +20,15 @@ from looprep import (
 from looprep import kxmodules
 from looprep.errors import CertificateFailed, LoopRepError, NotDominant
 from looprep.exact import MatrixL
+from looprep.kxmodules import KXModule
 
-from conftest import gauss_jordan_inverse, point_pool, random_dominant
+from conftest import (
+    KERNEL_CONTEXTS,
+    gauss_jordan_inverse,
+    point_pool,
+    random_dominant,
+    s3_context,
+)
 from exact_oracle import frac_rank
 
 
@@ -112,11 +119,23 @@ def conjugated_diagonal(module, value):
     field = ctx.field
     images = [ctx.apply(h, module.primitive) for h in module.coset_reps]
     vand = MatrixL(field, [[img ** k for k in range(module.dim)] for img in images])
-    diag = MatrixL.diagonal(field, [ctx.apply(h, value) for h in module.coset_reps])
+    diag = MatrixL(field, [[ctx.apply(h, value) if i == j else field.zero
+                            for j in range(module.dim)] for i, h in enumerate(module.coset_reps)])
     return gauss_jordan_inverse(vand) * diag * vand
 
 
 class TestVandermondeReuse:
+    def test_value_outside_k_omega(self, qi, a1):
+        # the points i and -i form one orbit, so K(omega) = Q and dim 1; for
+        # v = i the matrix is W^-1 diag(v) W = [[i]], not fixed by H
+        i = qi.field.gen
+        module = build_kx_module(LWeight(qi, a1, {(0, i): 1, (0, -i): 1}))
+        assert module.dim == 1
+        mat = multiplication_matrix(module, i)
+        assert mat == conjugated_diagonal(module, i)
+        assert mat.rows == ((i,),)
+        assert qi.apply(1, i) != i
+
     @pytest.mark.parametrize("ctx_name", ["cyclo5", "cyclo5_half", "zeta8"])
     def test_matrices_equal_conjugated_diagonal(self, ctx_name, a1, a2, request):
         ctx = request.getfixturevalue(ctx_name)
@@ -152,6 +171,157 @@ class TestCharPolySplit:
                 module = build_kx_module(lw)
                 for (node, r) in module.generator_matrices:
                     assert char_poly_split_check(module, node, r) is True
+
+
+def char_poly_split_oracle(module, node, index):
+    """Oracle: charpoly(M_{node,index}) by Faddeev-LeVerrier equals the
+    expansion of prod_j (u - sigma_j(s)).  Weaker than the eigenrow check:
+    a matrix with the right characteristic polynomial that does not
+    diagonalize passes it."""
+    ctx = module.lweight.ctx
+    field = ctx.field
+    value = dict(module.lweight.coefficient_values())[(node, index)]
+    expected = [field.one]
+    for h in module.coset_reps:
+        root = ctx.apply(h, value)
+        nxt = [field.zero] * (len(expected) + 1)
+        for k, c in enumerate(expected):
+            nxt[k] = nxt[k] - c * root
+            nxt[k + 1] = nxt[k + 1] + c
+        expected = nxt
+    return char_poly(module.matrix(node, index)) == expected
+
+
+def with_changes(module, **changes):
+    """The module with some fields replaced; the others are shared."""
+    fields = {name: getattr(module, name) for name in KXModule.__slots__}
+    fields.update(changes)
+    return KXModule(**fields)
+
+
+def with_matrix(module, key, rows):
+    matrices = dict(module.generator_matrices)
+    matrices[key] = MatrixL(module.lweight.ctx.field, rows)
+    return with_changes(module, generator_matrices=matrices)
+
+
+def single_entry_mutations(module):
+    """(key, i, j, module) with entry (i, j) of generator key raised by 1."""
+    for key, mat in sorted(module.generator_matrices.items()):
+        for i, row in enumerate(mat.rows):
+            for j in range(len(row)):
+                rows = [list(r) for r in mat.rows]
+                rows[i][j] = rows[i][j] + 1
+                yield key, i, j, with_matrix(module, key, rows)
+
+
+@pytest.fixture
+def jordan_module(qi, a2):
+    """Q(i), A2, l-weight {(node 1, i): 1, (node 2, 2): 1}: M(2,1) = -2 I."""
+    i = qi.field.gen
+    return build_kx_module(LWeight(qi, a2, {(0, i): 1, (1, qi.field.scalar(2)): 1}))
+
+
+class TestEigenrowCertificate:
+    """char_poly_split_check proves M = W^-1 diag(sigma_j(s)) W on the rows of
+    W, which is strictly stronger than comparing characteristic polynomials."""
+
+    @pytest.mark.parametrize("name", KERNEL_CONTEXTS + ("s3",))
+    @settings(deadline=None, max_examples=20)
+    @given(data=st.data())
+    def test_agrees_with_char_poly_oracle(self, kernel_contexts, s3, name, data, a1, a2):
+        ctx = s3 if name == "s3" else kernel_contexts[name]
+        lw = data.draw(dominant_lweights(ctx, data.draw(st.sampled_from((a1, a2)))))
+        module = build_kx_module(lw)
+        for node, r in module.generator_matrices:
+            assert char_poly_split_check(module, node, r) is True
+            assert char_poly_split_oracle(module, node, r) is True
+        (node, r), _, _, mutated = data.draw(st.sampled_from(list(single_entry_mutations(module))))
+        assert char_poly_split_check(mutated, node, r) is False
+
+    def test_jordan_block_fails(self, qi, jordan_module):
+        field = qi.field
+        two = field.scalar(2)
+        assert jordan_module.matrix(1, 1).rows == ((-two, field.zero), (field.zero, -two))
+        assert char_poly_split_check(jordan_module, 1, 1) is True
+        jordan = with_matrix(jordan_module, (1, 1), [[-two, field.one], [field.zero, -two]])
+        # same characteristic polynomial (u + 2)^2, but no eigenline basis
+        assert char_poly_split_oracle(jordan, 1, 1) is True
+        assert char_poly_split_check(jordan, 1, 1) is False
+
+    @pytest.mark.parametrize("ctx_name", ["qi", "cyclo5", "cyclo5_half"])
+    def test_every_single_entry_mutation_fails(self, ctx_name, a1, a2, request):
+        ctx = request.getfixturevalue(ctx_name)
+        rng = random.Random(157)
+        modules = [build_kx_module(random_dominant(ctx, rs, rng, max_support=2))
+                   for rs in (a1, a2) for _ in range(3)]
+        if ctx_name == "qi":
+            modules.append(request.getfixturevalue("jordan_module"))
+        mutations = 0
+        for module in modules:
+            for (node, r), i, j, mutated in single_entry_mutations(module):
+                assert char_poly_split_check(mutated, node, r) is False, (node, r, i, j)
+                mutations += 1
+        assert mutations >= 20
+
+    def test_mutations_fail_under_optimize(self, src_env):
+        # the Jordan-block module: every entry of both generators, the
+        # off-diagonal ones of the scalar -2 I included
+        script = (
+            "from looprep import LWeight, MatrixL, build_kx_module, char_poly_split_check\n"
+            "from looprep import gaussian_context, root_system\n"
+            "from looprep.kxmodules import KXModule\n"
+            "ctx = gaussian_context()\n"
+            "i, two = ctx.field.gen, ctx.field.scalar(2)\n"
+            "module = build_kx_module(LWeight(ctx, root_system('A2'), {(0, i): 1, (1, two): 1}))\n"
+            "fields = {name: getattr(module, name) for name in KXModule.__slots__}\n"
+            "passed = []\n"
+            "for key, mat in module.generator_matrices.items():\n"
+            "    for k in range(mat.nrows * mat.ncols):\n"
+            "        rows = [list(r) for r in mat.rows]\n"
+            "        rows[k // mat.ncols][k % mat.ncols] += 1\n"
+            "        matrices = dict(module.generator_matrices)\n"
+            "        matrices[key] = MatrixL(ctx.field, rows)\n"
+            "        mutated = KXModule(**dict(fields, generator_matrices=matrices))\n"
+            "        passed.append(char_poly_split_check(mutated, *key))\n"
+            "print(len(passed), sum(passed))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["8", "0"]
+
+    def test_repeated_conjugate_fails(self, iu):
+        module = build_kx_module(iu)
+        assert char_poly_split_check(module, 0, 1) is True
+        assert char_poly_split_check(with_changes(module, coset_reps=(0, 0)), 0, 1) is False
+
+    @pytest.mark.parametrize("pad", ["row", "column"])
+    def test_wrong_shape_fails(self, qi, iu, pad):
+        # a zero row or column added to a valid matrix leaves every
+        # eigenrow equation on the d x d block true
+        module = build_kx_module(iu)
+        rows = [list(r) for r in module.matrix(0, 1).rows]
+        if pad == "row":
+            rows.append([qi.field.zero] * module.dim)
+        else:
+            rows = [r + [qi.field.zero] for r in rows]
+        assert char_poly_split_check(with_matrix(module, (0, 1), rows), 0, 1) is False
+
+    def test_each_eigenrow_is_checked(self, cyclo5, a1):
+        # adding column j of W^-1 to column 0 keeps w_k M = sigma_k(s) w_k for
+        # every k != j and breaks it at j alone
+        module = build_kx_module(LWeight.single(cyclo5, a1, 0, cyclo5.field.gen))
+        images = [cyclo5.apply(h, module.primitive) for h in module.coset_reps]
+        inverse = gauss_jordan_inverse(
+            MatrixL(cyclo5.field, [[t ** k for k in range(module.dim)] for t in images]))
+        for j in range(module.dim):
+            rows = [list(r) for r in module.matrix(0, 1).rows]
+            for i, row in enumerate(rows):
+                row[0] = row[0] + inverse.rows[i][j]
+            assert char_poly_split_check(with_matrix(module, (0, 1), rows), 0, 1) is False
 
 
 class TestIsoTest:
@@ -282,6 +452,11 @@ def dominant_lweights(ctx, rs):
 
 
 ORACLE_CONTEXTS = ("zeta5", "zeta7", "zeta8", "zeta15", "cyclo5_half")
+
+
+@pytest.fixture(scope="session")
+def s3():
+    return s3_context()
 
 
 @pytest.fixture(scope="session")

@@ -82,6 +82,19 @@ def test_one_elimination_routine_and_no_test_imports():
     assert not oracles & (set(dir(looprep)) | set(looprep.__all__) | set(dir(looprep.exact)))
 
 
+def test_split_certificate_uses_no_char_poly():
+    # char_poly_split_check proves the split on the eigenrows of the
+    # Vandermonde matrix; Faddeev-LeVerrier stays public for callers and is
+    # the certificate's oracle in tests/test_kxmodules.py
+    found = ["%s:%d" % (name, node.lineno) for name, node in library_nodes()
+             if name == "kxmodules.py" and (
+                 isinstance(node, ast.Name) and node.id == "char_poly"
+                 or isinstance(node, ast.Attribute) and node.attr == "char_poly"
+                 or isinstance(node, ast.alias) and node.name == "char_poly")]
+    assert found == []
+    assert "char_poly" in looprep.__all__
+
+
 def attribute_calls(attr):
     """'module:line' of every call of a method or class method named attr."""
     return ["%s:%d" % (name, node.lineno) for name, node in library_nodes()
