@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from math import prod
 from operator import add
 
-from .blocks import partition_blocks
 from .classify import (
     classify,
     compositum_degree,
@@ -28,23 +28,8 @@ from .classify import (
 )
 from .errors import LoopRepError
 from .galois import context_from_json
-from .kxmodules import build_kx_module, char_poly_split_check, tensor_embedding_rank
 from .lweights import LWeight
 from .roots import _parse_type, root_system
-from .series import (
-    MAX_ORDER,
-    SymPoly,
-    TruncSeries,
-    binom_poly,
-    ev_lambda_check,
-    h_from_lambda,
-    h_point_symbol,
-    h_series,
-    h_symbol,
-    lambda_alpha_identity_holds,
-    lambda_from_h,
-    series_inverse,
-)
 
 SCHEMA_VERSION = 1
 
@@ -57,9 +42,9 @@ SCHEMA_VERSION = 1
 # the slowest within 36, 0.5 s; just beyond, E8 at 5 1.0 s and B3 at 14
 # 0.5 s), and the field work of a job steeply with the degree (the README's
 # commands over zeta35, degree 24, 1.0 s; zeta51, degree 32, 1.9 s;
-# zeta41, degree 40, 3.2 s; zeta69, degree 44, 5.0 s).  MAX_ORDER is the
-# series layer's own bound: every exponent of a series up to that order
-# fits its packed slot.  MAX_EXPONENT bounds the sum of the absolute
+# zeta41, degree 40, 3.2 s; zeta69, degree 44, 5.0 s).  The --order bound
+# is the series layer's own MAX_ORDER: every exponent of a series up to
+# that order fits its packed slot.  MAX_EXPONENT bounds the sum of the absolute
 # exponents of one l-weight's records, so every node weight and the degree
 # of every polynomial: on A1 over Q(i) the slowest commands, kx-matrix and
 # embedding-rank, take 0.3 s beyond start-up at exponent 128, 1.2 s at 256
@@ -86,6 +71,14 @@ class JobError(Exception):
     """Malformed job file (exit code 2)."""
 
 
+def int_literal(text):
+    """The int of an ASCII decimal literal with an optional minus sign; int()
+    alone also takes underscores, spaces, a plus sign and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError("invalid literal %r" % text)
+    return int(text)
+
+
 def _tokens(command):
     if isinstance(command, str):
         return command.split()
@@ -104,7 +97,7 @@ def _root_system(lie_type):
 
 def _parse_weight(text, rank):
     try:
-        coords = tuple(int(x) for x in text.split(","))
+        coords = tuple(int_literal(x) for x in text.split(","))
     except ValueError:
         raise JobError("bad weight literal %r" % text)
     if len(coords) != rank:
@@ -117,14 +110,16 @@ def _is_int(value):
 
 
 def _check_rationals(coeffs, what, most):
-    """A JSON array of at most ``most`` rational coefficients: ints or
-    strings like "-3/2"."""
+    """A JSON array of at most ``most`` rational coefficients: ints or ASCII
+    strings [+-]?[0-9]+(/[0-9]+)? like "-3/2" that Fraction() takes.
+    Fraction() alone would also take spaces, decimals and exponents, and
+    "1e10000000" would build a ten-million-digit integer."""
     if not isinstance(coeffs, list):
         raise JobError("%s must be an array" % what)
     if len(coeffs) > most:
         raise JobError("%s has %d coefficients, above %d" % (what, len(coeffs), most))
     for c in coeffs:
-        if not (_is_int(c) or isinstance(c, str)):
+        if not (_is_int(c) or isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", c)):
             raise JobError("%s has a non-rational entry %r" % (what, c))
         try:
             Fraction(c)
@@ -296,6 +291,8 @@ def _dual(job, opts, name):
 
 
 def _blocks(job, opts, *names):
+    from .blocks import partition_blocks
+
     groups = partition_blocks([job.lweight(n) for n in names])
     blocks = [[m.to_json() for m in group] for group in groups]
     return ({"names": list(names), "blocks": blocks},
@@ -304,6 +301,8 @@ def _blocks(job, opts, *names):
 
 
 def _kx_matrix(job, opts, name):
+    from .kxmodules import build_kx_module, char_poly_split_check
+
     node = opts.get("node", 1) - 1
     index = opts.get("index", 1)
     module = build_kx_module(job.lweight(name))
@@ -324,6 +323,8 @@ def _kx_matrix(job, opts, name):
 
 
 def _embedding_rank(job, opts, a, b):
+    from .kxmodules import tensor_embedding_rank
+
     rank, injective = tensor_embedding_rank(job.lweight(a), job.lweight(b))
     return ({"left": a, "right": b, "rank": rank, "injective": injective},
             ["rank %d, injective: %s" % (rank, injective)])
@@ -341,6 +342,8 @@ def _link_chain(job, opts, lie_type, lam_text, mu_text):
 
 
 def _series_check(job, opts):
+    from .series import MAX_ORDER
+
     order = opts.get("order", job.order)
     if not 1 <= order <= MAX_ORDER:
         raise JobError("series-check: --order must be in 1..%d, got %d" % (MAX_ORDER, order))
@@ -357,6 +360,11 @@ def _series_check(job, opts):
 
 def _series_suite(rs, order):
     """The series invariant suite at one order for one root system."""
+    from .series import (
+        SymPoly, TruncSeries, binom_poly, ev_lambda_check, h_from_lambda, h_point_symbol,
+        h_series, h_symbol, lambda_alpha_identity_holds, lambda_from_h, series_inverse,
+    )
+
     lam = lambda_from_h("a", order)
     recovered = h_from_lambda(lam)
     binomials = h_series("a", order)
@@ -399,10 +407,10 @@ COMMANDS = {
     "rational-split": (_rational_split, 1, {}),
     "dual": (_dual, 1, {}),
     "blocks": (_blocks, ONE_OR_MORE, {}),
-    "kx-matrix": (_kx_matrix, 1, {"node": int, "index": int}),
+    "kx-matrix": (_kx_matrix, 1, {"node": int_literal, "index": int_literal}),
     "embedding-rank": (_embedding_rank, 2, {}),
-    "link-chain": (_link_chain, 3, {"max-steps": int}),
-    "series-check": (_series_check, 0, {"order": int, "type": str}),
+    "link-chain": (_link_chain, 3, {"max-steps": int_literal}),
+    "series-check": (_series_check, 0, {"order": int_literal, "type": str}),
 }
 
 
@@ -505,8 +513,8 @@ def main(argv=None) -> int:
     parser.add_argument("job", help="path to a JSON job file")
     parser.add_argument("--json", dest="json_path", help="write a JSON report here")
     parser.add_argument("--quiet", action="store_true", help="suppress stdout report")
-    parser.add_argument("--max-steps", type=int, default=8, help="link chain bound")
-    parser.add_argument("--order", type=int, default=8, help="series truncation order")
+    parser.add_argument("--max-steps", type=int_literal, default=8, help="link chain bound")
+    parser.add_argument("--order", type=int_literal, default=8, help="series truncation order")
     ns = parser.parse_args(argv)
     return run(ns.job, ns.json_path, ns.quiet, ns.max_steps, ns.order)
 

@@ -445,12 +445,11 @@ class RootSystem(Immutable):
 
 def _parse_type(lie_type: str):
     s = str(lie_type).strip().upper().replace("_", "")
-    if len(s) < 2 or s[0] not in "ABCDEFG":
+    # the rank is ASCII digits: int() would also take a sign, spaces and
+    # non-ASCII digits
+    if len(s) < 2 or s[0] not in "ABCDEFG" or not (s[1:].isascii() and s[1:].isdigit()):
         raise UnknownType("bad Lie type %r" % lie_type)
-    try:
-        rank = int(s[1:])
-    except ValueError:
-        raise UnknownType("bad Lie type %r" % lie_type)
+    rank = int(s[1:])
     if rank < 1:
         raise UnknownType("rank must be positive")
     if s[0] in "BCDEFG" and rank == 1:

@@ -8,12 +8,13 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looprep import LWeight, cli, lambda_from_h, root_system, tp_irreducible_criterion
+from looprep import LWeight, cli, lambda_from_h, root_system, series, tp_irreducible_criterion
 from looprep.classify import _tensor_f_level
 from looprep.cli import main, run
 
@@ -126,7 +127,7 @@ class TestCommands:
         # series reads false instead of passing as "not None"
         rep = run_json(tmp_path, ["series-check --order 3"])
         assert rep["results"][0]["result"]["checks"]["binomialSeries"] is True
-        monkeypatch.setattr(cli, "h_series", lambda alpha, order: lambda_from_h(alpha, order))
+        monkeypatch.setattr(series, "h_series", lambda alpha, order: lambda_from_h(alpha, order))
         rep = run_json(tmp_path, ["series-check --order 3"])
         result = rep["results"][0]["result"]
         assert result["checks"]["binomialSeries"] is False
@@ -342,7 +343,7 @@ class TestExitCodes:
         assert rep["results"][0]["result"]["weight"] == [cli.MAX_EXPONENT]
 
     def test_bounds_cover_the_documented_values(self, tmp_path):
-        assert cli.MAX_STEPS >= 8 and cli.MAX_ORDER >= 10
+        assert cli.MAX_STEPS >= 8 and series.MAX_ORDER >= 10
         rep = run_json(tmp_path, ["link-chain A1 4 0 --max-steps %d" % cli.MAX_STEPS])
         assert rep["results"][0]["result"]["chain"] == [[0], [2], [4]]
 
@@ -466,6 +467,111 @@ class TestCommandTable:
         err = capsys.readouterr().err
         assert err.startswith("error: command 0: series-check: --order must be in 1..")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestStrictLiterals:
+    """Integers on the command line are ASCII decimal literals and rationals
+    in job files ASCII [+-]?[0-9]+(/[0-9]+)?: int() and Fraction() alone
+    would also take underscores, spaces, a plus sign, non-ASCII digits,
+    decimals and exponents."""
+
+    @pytest.mark.parametrize("command, option, value", [
+        (["link-chain", "A1", "4", "0", "--max-steps", "1_0"], "max-steps", "1_0"),
+        (["kx-matrix", "p", "--node", " +1"], "node", " +1"),
+        (["kx-matrix", "p", "--node", "+1"], "node", "+1"),
+        (["kx-matrix", "p", "--node", "\u0661"], "node", "\u0661"),
+        (["series-check", "--order", "\u0663", "--type", "A1"], "order", "\u0663"),
+    ], ids=["underscore", "space-plus", "plus", "arabic-indic-node", "arabic-indic-order"])
+    def test_option_exits_2(self, tmp_path, capsys, command, option, value):
+        job = write_job(tmp_path, [command])
+        assert run(str(job), quiet=True) == 2
+        assert capsys.readouterr().err == \
+            "error: command 0: %s: option --%s takes an integer, got %r\n" % (
+                command[0], option, value)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--order", "\u0663"), ("--max-steps", "\u0663"), ("--order", "1_0"),
+        ("--max-steps", " +1"),
+    ], ids=["order-arabic-indic", "max-steps-arabic-indic", "order-underscore",
+            "max-steps-space-plus"])
+    def test_global_flag_exits_2(self, tmp_path, src_env, flag, value):
+        job = write_job(tmp_path, ["validate-field"])
+        out = subprocess.run(
+            [sys.executable, "-m", "looprep.cli", str(job), "--quiet", flag, value],
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert out.returncode == 2 and out.stdout == ""
+        assert "argument %s: invalid int_literal value: %r" % (flag, value) in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("weight", ["\u0664", "+4", "4_0", " 4"])
+    def test_weight_exits_2(self, tmp_path, capsys, weight):
+        job = write_job(tmp_path, [["link-chain", "A1", weight, "0"]])
+        assert run(str(job), quiet=True) == 2
+        assert capsys.readouterr().err == \
+            "error: command 0: bad weight literal %r\n" % weight
+
+    def test_negative_literals_still_parse(self, tmp_path, capsys):
+        # the weight reaches the library, which finds it not dominant (exit 1)
+        assert cli.int_literal("-12") == -12 and cli.int_literal("007") == 7
+        job = write_job(tmp_path, ["link-chain A2 1,1 -1,2 --max-steps 0"])
+        assert run(str(job), quiet=True) == 1
+        assert "weight (-1, 2) is not dominant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lie_type", ["A+1", "A \u0661", "A\u0661", "A-1", "A1 1"])
+    def test_type_rank_is_ascii_digits(self, tmp_path, capsys, lie_type):
+        for job in (write_job(tmp_path, ["validate-field"], lie_type=lie_type),
+                    write_job(tmp_path, [["series-check", "--order", "1", "--type", lie_type]])):
+            assert run(str(job), quiet=True) == 1
+            err = capsys.readouterr().err
+            assert "UnknownType: bad Lie type %r" % lie_type in err
+
+    @pytest.mark.parametrize("entry", [
+        "1e5", "1E5", "1.5", " 1", "1 ", "1_0", "\u0661", "1/0", "1/-2", "+-1", "", "0x1",
+        "1/", "/2", "--1", "1/2/3", "1" * 4301,
+    ], ids=lambda entry: entry if len(entry) < 10 else "4301-digits")
+    @pytest.mark.parametrize("part", ["modulus", "image", "point"])
+    def test_bad_rational_exits_2_before_any_context(self, tmp_path, capsys, monkeypatch,
+                                                     part, entry):
+        monkeypatch.setattr(cli, "context_from_json",
+                            lambda data: pytest.fail("context built"))
+        field = copy.deepcopy(GAUSSIAN_FIELD)
+        lweights = {"p": [{"node": 1, "point": ["0", "1"], "exp": 1}]}
+        where = {"modulus": "modulus", "image": "automorphism 1",
+                 "point": "point of l-weight 'p'"}[part]
+        if part == "modulus":
+            field["modulus"][0] = entry
+        elif part == "image":
+            field["automorphisms"][1][1] = entry
+        else:
+            lweights["p"][0]["point"][1] = entry
+        job = write_job(tmp_path, ["validate-field"], lweights=lweights, field=field)
+        assert run(str(job), quiet=True) == 2
+        assert capsys.readouterr().err == \
+            "error: malformed job file: %s has a non-rational entry %r\n" % (where, entry)
+
+    def test_huge_exponent_literal_exits_2_at_once(self, tmp_path, src_env):
+        # Fraction("1e10000000") builds a ten-million-digit integer: 26.7 s
+        # before the check, then Python's digit limit message
+        job = write_job(tmp_path, ["lw-info p"], lweights={
+            "p": [{"node": 1, "point": ["0", "1e10000000"], "exp": 1}]})
+        start = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-m", "looprep.cli", str(job), "--quiet"],
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert time.perf_counter() - start < 5
+        assert out.returncode == 2
+        assert out.stderr == ("error: malformed job file: point of l-weight 'p' has a "
+                              "non-rational entry '1e10000000'\n")
+
+    def test_documented_rational_forms_still_parse(self, tmp_path):
+        field = copy.deepcopy(GAUSSIAN_FIELD)
+        field["modulus"] = ["+2/2", 0, "001"]
+        rep = run_json(tmp_path, ["lw-info p", "lw-info q"], field=field, lweights={
+            "p": [{"node": 1, "point": ["-0", "+4/4"], "exp": 1}],
+            "q": [{"node": 1, "point": [0, "1"], "exp": 1}]})
+        assert rep["results"][0]["result"] == dict(rep["results"][1]["result"], name="p")
 
 
 def rational_records(exps, start=1):
@@ -684,7 +790,7 @@ FIELD_VALUES = {
 RECORD_VALUES = {
     "node": [0, 1, 2, -1, "1", 1.5, None, True, 10 ** 30],
     "point": [["0"], ["0", "0"], ["1/0"], ["x"], [1, 2], ["0", "1", "2"], 5, [],
-              ["3/2", "-1/3"], ["2"], ["0", "-1"]],
+              ["3/2", "-1/3"], ["2"], ["0", "-1"], ["0", "1e5"], ["0", " 1"], ["+1", "0"]],
     "exp": [-1, 0, 1, 2, 3, "1", 1.5, None, True, -10 ** 30, 129, 20000, 10 ** 9],
 }
 # where the fuzzed job's --json report goes: a fresh file, an existing
@@ -692,7 +798,8 @@ RECORD_VALUES = {
 REPORT_PATHS = ["report.json", ".", os.path.join("nosuch", "report.json")]
 TOKENS = ["p", "q", "pc", "nosuch", "", "1", "-1", "0", "4", "1,1", "1,1,1", "A1", "A2",
           "G2", "B2", "Z9", "E8", "--node", "--index", "--order", "--max-steps", "--type",
-          "--bogus", "2", "12", "13", "16", "17", "3/2", "x", "tensor", "blocks"]
+          "--bogus", "2", "12", "13", "16", "17", "3/2", "x", "tensor", "blocks", "1_0",
+          "+4", "\u0663", "A+1"]
 # misspelt options, each drawn with a value
 OPTION_TYPOS = ["--max-step", "--maxsteps", "--nodes", "--Index", "--ordre", "--typ", "--"]
 

@@ -1,10 +1,13 @@
 """Checks on the library source itself."""
 
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
+
+import pytest
 
 import looprep
 from looprep import cli
@@ -146,8 +149,90 @@ def test_readme_lists_the_command_table():
     assert set(re.findall(r"--([a-z-]+)", sentence)) == declared
 
 
-def test_cli_import_loads_no_dataclasses(src_env):
-    code = "import sys; import looprep.cli; print('dataclasses' in sys.modules)"
+def loaded_after(src_env, code):
+    """The modules of a fresh interpreter after it runs code: the looprep
+    ones, and whether dataclasses is among the rest."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('looprep')))"
+    code += "\nprint('dataclasses' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=src_env, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.returncode == 0, out.stderr
+    modules, dataclasses = out.stdout.splitlines()[-2:]
+    return set(ast.literal_eval(modules)), dataclasses == "True"
+
+
+CLI_MODULES = {"looprep." + m for m in (
+    "cli", "classify", "errors", "exact", "galois", "lweights", "record", "roots")}
+
+PUBLIC_NAMES = {
+    "CertificateFailed", "Decomposition", "FieldElem", "GaloisContext", "IrrClass",
+    "KXModule", "LWeight", "LoopRepError", "MatrixL", "NumberField", "PolyQ",
+    "RootDataInconsistency", "RootSystem", "SmithForm", "SpectralCharacter", "SymPoly",
+    "TruncSeries", "binom_poly", "build_context", "build_kx_module", "char_poly",
+    "char_poly_split_check", "classify", "compositum_degree", "context_from_json",
+    "cyclotomic_context", "dim_weyl_f", "dim_weyl_k", "equivalent_chars", "ev_lambda_check",
+    "eval_at", "gaussian_context", "generic_lambda_series", "h_from_lambda", "h_series",
+    "h_symbol", "iso_test", "lambda_alpha_from_simples", "lambda_alpha_identity_holds",
+    "lambda_from_h", "multiplication_matrix", "partition_blocks", "poly_gcd",
+    "rational_context", "root_system", "same_block", "series_inverse", "smith_normal_form",
+    "spectral_character", "tensor_decompose_k", "tensor_embedding_rank",
+    "tp_irreducible_criterion", "twist",
+}
+
+
+def test_cli_import_loads_no_dataclasses(src_env):
+    # the package resolves its names on first use, and the CLI imports the
+    # series, kxmodules and blocks layers only in the commands that use them
+    assert loaded_after(src_env, "import looprep") == ({"looprep"}, False)
+    assert loaded_after(src_env, "import looprep.cli") == ({"looprep"} | CLI_MODULES, False)
+
+
+def test_package_names_resolve_on_first_use(src_env):
+    assert set(looprep.__all__) == PUBLIC_NAMES and len(looprep.__all__) == 53
+    assert set(looprep.__all__) <= set(dir(looprep))
+    with pytest.raises(AttributeError):
+        looprep.nope
+    # after the CLI has loaded the modules of its layers, each name is still
+    # the object its module defines (the function classify, not the module)
+    code = ("import looprep.cli, sys\n"
+            "names = {}\nexec('from looprep import *', names)\n"
+            "names.pop('__builtins__')\n"
+            "import looprep\n"
+            "assert set(names) == set(looprep.__all__), set(names) ^ set(looprep.__all__)\n"
+            "for name, value in names.items():\n"
+            "    module = sys.modules[value.__module__]\n"
+            "    assert module.__name__.startswith('looprep.'), name\n"
+            "    assert getattr(module, name) is value is getattr(looprep, name), name\n")
+    modules, _ = loaded_after(src_env, code)
+    assert {"looprep.series", "looprep.kxmodules", "looprep.blocks"} <= modules
+
+
+def test_package_init_imports_no_library_module():
+    with open(os.path.join(SRC, "__init__.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = [node.lineno for node in tree.body if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").split(".")[0] == "looprep")
+             or isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] == "looprep" for alias in node.names)]
+    assert found == []
+
+
+@pytest.mark.parametrize("commands, layers", [
+    (["lw-info p", "tensor p q"], set()),
+    (["series-check --order 2 --type A1"], {"series"}),
+    (["kx-matrix p"], {"kxmodules"}),
+    (["embedding-rank p q"], {"kxmodules"}),
+    (["blocks p q"], {"blocks"}),
+], ids=["core", "series-check", "kx-matrix", "embedding-rank", "blocks"])
+def test_cli_job_loads_only_the_layers_it_uses(tmp_path, src_env, commands, layers):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "field": {"modulus": ["1", "0", "1"], "automorphisms": [["0", "1"], ["0", "-1"]]},
+        "lieType": "A1",
+        "lweights": {"p": [{"node": 1, "point": ["0", "1"], "exp": 1}],
+                     "q": [{"node": 1, "point": ["0", "2"], "exp": 1}]},
+        "commands": commands,
+    }))
+    code = "import looprep.cli\nassert looprep.cli.run(%r, quiet=True) == 0" % str(job)
+    modules, _ = loaded_after(src_env, code)
+    assert modules - CLI_MODULES == {"looprep"} | {"looprep." + m for m in layers}
