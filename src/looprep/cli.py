@@ -470,7 +470,8 @@ def run(job_path, json_path=None, quiet=False, max_steps=8, order=8):
     except LoopRepError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
-    except (OSError, ValueError, JobError) as exc:
+    except (OSError, ValueError, RecursionError, JobError) as exc:
+        # RecursionError: a nesting too deep for json to decode
         print("error: malformed job file: %s" % exc, file=sys.stderr)
         return 2
 

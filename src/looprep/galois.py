@@ -132,7 +132,7 @@ class GaloisContext(Immutable):
 
     def fixed_space_basis(self, subgroup):
         """Field elements forming a Q-basis of {v : g(v) = v for g in S}."""
-        return _fixed_space_basis(self.field, self.aut_columns, subgroup)
+        return _fixed_space_basis(self.field, self.aut_columns, self.table, subgroup)
 
     # -- serialization
 
@@ -212,27 +212,27 @@ def build_context(modulus, aut_images, subgroup=None) -> GaloisContext:
             if table[g][h] not in sub_set:
                 raise BadSubgroup("subgroup is not closed under composition")
 
-    # a group fixes what its generators fix: their rows of M_g - I span the
-    # same row space as those of all its elements, so the basis is the same
-    if len(_fixed_space_basis(field, aut_columns, _generators(table, range(n)))) != 1:
+    if len(_fixed_space_basis(field, aut_columns, table, range(n))) != 1:
         raise FixedFieldTooBig("fixed space of the full group has dimension > 1")
-    generators = _generators(table, subgroup)
-    k_basis = _fixed_space_basis(field, aut_columns, generators)
+    k_basis = _fixed_space_basis(field, aut_columns, table, subgroup)
     if len(k_basis) != n // len(subgroup):
         raise FixedFieldTooBig("fixed space of H has dimension != |G|/|H|")
     return GaloisContext(field, images, aut_columns, table, subgroup, k_basis,
-                         generators)
+                         _generators(table, subgroup))
 
 
-def _fixed_space_basis(field, aut_columns, subgroup):
+def _fixed_space_basis(field, aut_columns, table, subgroup):
     """Field elements forming a Q-basis of {v : g(v) = v for g in subgroup}.
 
-    The rows of g's equations are the integer rows of den * (M_g - I); row
-    scaling leaves the reduced echelon form, and so the basis, unchanged.
+    A group fixes what its generators fix: their rows of M_g - I span the
+    same row space as those of all its elements, so only generators are
+    solved on.  The rows of g's equations are the integer rows of
+    den * (M_g - I); row scaling leaves the reduced echelon form, and so the
+    basis, unchanged.
     """
     n = field.degree
     rows = []
-    for g in subgroup:
+    for g in _generators(table, subgroup):
         columns, den = aut_columns[g]
         block = [[-den if i == k else 0 for k in range(n)] for i in range(n)]
         for k, col in enumerate(columns):

@@ -76,15 +76,16 @@ def _primitive_candidates(values):
         total += 1
 
 
-def _primitive_embedding(lweight: LWeight):
-    """Primitive element t of K(omega) over K and coset representatives of H.
+def build_kx_module(lweight: LWeight) -> KXModule:
+    """Build the matrix model for a dominant l-weight.
 
-    Returns (values, stabilizer, dim, t, reps): values are the l-weight's
-    coefficient_values(), and reps are the elements of H, in order, giving
-    the dim distinct conjugates of t; reps[0] is the identity.
-    Raises PrimitiveSearchFailed if no primitive element shows up within
-    10 * d^2 spiral candidates (in characteristic zero a generic combination
-    of the coefficient values works).
+    The primitive t of K(omega) over K is the first spiral candidate with
+    d = [H : Stab] distinct conjugates under H, and coset_reps are the
+    elements of H, in order, that first give them; coset_reps[0] is the
+    identity.  Raises PrimitiveSearchFailed if no primitive element shows up
+    within 10 * d^2 spiral candidates (in characteristic zero a generic
+    combination of the coefficient values works), and CertificateFailed if a
+    generator matrix entry is not fixed by H.
     """
     if not lweight.is_dominant:
         raise NotDominant("matrix model requires a dominant l-weight")
@@ -96,32 +97,22 @@ def _primitive_embedding(lweight: LWeight):
 
     budget = 10 * dim * dim
     for weights in islice(_primitive_candidates([v for _, v in values]), budget):
-        cand = field.zero
+        primitive = field.zero
         if weights is not None:
             for w, (_, v) in zip(weights, values):
                 if w:
-                    cand = cand + w * v
+                    primitive = primitive + w * v
         conjugates = {}
         for h in ctx.subgroup:
-            conjugates.setdefault(ctx.apply(h, cand), h)
+            conjugates.setdefault(ctx.apply(h, primitive), h)
         if len(conjugates) == dim:
-            return values, stab, dim, cand, tuple(conjugates.values())
-    raise PrimitiveSearchFailed("no primitive element within %d candidates" % budget)
+            break
+    else:
+        raise PrimitiveSearchFailed("no primitive element within %d candidates" % budget)
+    reps = tuple(conjugates.values())
+    embedding = _interpolation(ctx, reps, list(conjugates))
 
-
-def build_kx_module(lweight: LWeight) -> KXModule:
-    """Build the matrix model for a dominant l-weight.
-
-    Raises PrimitiveSearchFailed if no primitive element shows up within
-    10 * d^2 spiral candidates (in characteristic zero a generic combination
-    of the coefficient values works), and CertificateFailed if a generator
-    matrix entry is not fixed by H.
-    """
-    values, stab, dim, primitive, reps = _primitive_embedding(lweight)
-    ctx = lweight.ctx
     gens = ctx.subgroup_generators
-    embedding = _interpolation(ctx, reps, primitive)
-
     matrices = {}
     for (node, r), value in values:
         mat = _multiplication_matrix(ctx, reps, embedding, value)
@@ -142,8 +133,9 @@ def build_kx_module(lweight: LWeight) -> KXModule:
     )
 
 
-def _interpolation(ctx, reps, primitive):
-    """(low, basis) for the conjugates t_j = sigma_j(t) of the primitive.
+def _interpolation(ctx, reps, images):
+    """(low, basis) for the conjugates images[j] = t_j = sigma_j(t) of the
+    primitive t = images[0], sigma_j = reps[j].
 
     low holds the coefficients of u^0 .. u^(d-1) of the monic minimal
     polynomial P(u) = prod_j (u - t_j), and basis[i] holds, as terms() in j,
@@ -152,7 +144,7 @@ def _interpolation(ctx, reps, primitive):
     1 / P'(t_j) = sigma_j(1 / P'(t)): one inversion in all.
     """
     field = ctx.field
-    images = [ctx.apply(h, primitive) for h in reps]
+    primitive = images[0]
     poly = [field.one]
     for t in images:
         poly = ([-(t * poly[0])] + [poly[k - 1] - t * poly[k] for k in range(1, len(poly))]
@@ -215,8 +207,8 @@ def char_poly_split_check(module: KXModule, node: int, index: int) -> bool:
     ctx = module.lweight.ctx
     field = ctx.field
     dim = module.dim
-    value = dict(module.lweight.coefficient_values())[(node, index)]
     matrix = module.matrix(node, index)
+    value = module.lweight.expand_coeffs(node)[index]
     conjugates = [ctx.apply(h, module.primitive) for h in module.coset_reps]
     if not len(set(conjugates)) == len(conjugates) == matrix.nrows == matrix.ncols == dim:
         return False
@@ -243,29 +235,28 @@ def iso_test(a: LWeight, b: LWeight) -> bool:
 
 
 def tensor_embedding_rank(a: LWeight, b: LWeight):
-    """Rank over K of the product map K(a) (x) K(b) -> L on power bases.
+    """Rank over K of the product map K(a) (x) K(b) -> L.
 
-    Returns (rank, injective); the map is injective exactly when the degree
-    equation deg(a) * deg(b) = [K(a,b):K] holds, and its image is always the
-    compositum.  Raises CertificateFailed if the rational rank of the image
-    is not a multiple of [K:Q].
+    K(a) is the fixed field of Stab_H(a), so the products of the Q-bases of
+    the two fixed fields span the compositum K(a, b) over Q, and its rational
+    rank over [K:Q] is [K(a,b):K].  Returns (rank, injective); the map is
+    injective exactly when the degree equation deg(a) * deg(b) = [K(a,b):K]
+    holds.  Raises NotDominant unless both l-weights are dominant, and
+    CertificateFailed if the rational rank of the image is not a multiple of
+    [K:Q].
     """
-    _, _, dim_a, prim_a, _ = _primitive_embedding(a)
-    _, _, dim_b, prim_b, _ = _primitive_embedding(b)
+    if not (a.is_dominant and b.is_dominant):
+        raise NotDominant("embedding rank requires dominant l-weights")
     ctx = a.ctx
-    k_basis = ctx.k_basis
-    k_deg = len(k_basis)
-
-    rows = []
-    for j in range(dim_a):
-        for k in range(dim_b):
-            product = (prim_a ** j) * (prim_b ** k)
-            for kappa in k_basis:
-                rows.append((kappa * product).nums)
+    stab_a, stab_b = a.stabilizer(), b.stabilizer()
+    basis_b = ctx.fixed_space_basis(stab_b)
+    rows = [(x * y).nums for x in ctx.fixed_space_basis(stab_a) for y in basis_b]
     q_rank = len(int_rref(rows)[1])
+    k_deg = ctx.k_degree
     if q_rank % k_deg:
         raise CertificateFailed(
             "image rank %d over Q is not a multiple of [K:Q] = %d" % (q_rank, k_deg)
         )
     rank = q_rank // k_deg
-    return rank, rank == dim_a * dim_b
+    order = len(ctx.subgroup)
+    return rank, rank == (order // len(stab_a)) * (order // len(stab_b))

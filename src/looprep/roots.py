@@ -444,9 +444,9 @@ class RootSystem(Immutable):
 
 
 def _parse_type(lie_type: str):
-    s = str(lie_type).strip().upper().replace("_", "")
-    # the rank is ASCII digits: int() would also take a sign, spaces and
-    # non-ASCII digits
+    # a family letter and a rank in ASCII digits, with nothing around them:
+    # int() would also take a sign, spaces, underscores and non-ASCII digits
+    s = str(lie_type)
     if len(s) < 2 or s[0] not in "ABCDEFG" or not (s[1:].isascii() and s[1:].isdigit()):
         raise UnknownType("bad Lie type %r" % lie_type)
     rank = int(s[1:])

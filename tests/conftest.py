@@ -144,8 +144,24 @@ def point_pool(ctx):
     return [p for p in pool if p]
 
 
-def random_dominant(ctx, rs, rng: random.Random, max_support=3, max_exp=2):
+def period_points(ctx):
+    """point_pool plus the trace of theta over each cyclic subgroup <g> of G:
+    points whose fixed fields lie strictly between Q and L (Gauss periods in
+    the cyclotomic case), so their stabilizers are proper and nontrivial."""
+    theta = ctx.field.gen
     pool = point_pool(ctx)
+    for g in ctx.full_group:
+        power, trace = g, theta
+        while power != 0:
+            trace = trace + ctx.apply(power, theta)
+            power = ctx.compose(g, power)
+        if trace and trace not in pool:
+            pool.append(trace)
+    return pool
+
+
+def random_dominant(ctx, rs, rng: random.Random, max_support=3, max_exp=2, pool=None):
+    pool = pool or point_pool(ctx)
     factors = {}
     for _ in range(rng.randint(1, max_support)):
         node = rng.randrange(rs.rank)

@@ -209,6 +209,18 @@ class TestExitCodes:
         job = write_job(tmp_path, ["validate-field"])
         assert main([str(job), "--quiet"]) == 0
 
+    def test_nesting_too_deep_to_decode_is_malformed(self, tmp_path, src_env):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        out = subprocess.run(
+            [sys.executable, "-m", "looprep.cli", str(path), "--quiet"],
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert out.stderr.count("\n") == 1
+        assert out.stderr.startswith("error: malformed job file: ")
+
     @pytest.mark.parametrize("command, flags", [
         ("link-chain A1 4 0 --max-steps -1", []),
         ("link-chain A1 4 0", ["--max-steps", "-5"]),
@@ -518,7 +530,8 @@ class TestStrictLiterals:
         assert run(str(job), quiet=True) == 1
         assert "weight (-1, 2) is not dominant" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lie_type", ["A+1", "A \u0661", "A\u0661", "A-1", "A1 1"])
+    @pytest.mark.parametrize("lie_type", ["A+1", "A \u0661", "A\u0661", "A-1", "A1 1",
+                                          " a_3 ", "a3", "A_1_0", " A1"])
     def test_type_rank_is_ascii_digits(self, tmp_path, capsys, lie_type):
         for job in (write_job(tmp_path, ["validate-field"], lie_type=lie_type),
                     write_job(tmp_path, [["series-check", "--order", "1", "--type", lie_type]])):

@@ -10,6 +10,8 @@ from conftest import (
     KERNEL_CONTEXTS,
     field_elements,
     gauss_jordan_inverse,
+    period_points,
+    random_dominant,
     s3_context,
 )
 from exact_oracle import (
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 from looprep import (
     FieldElem,
+    LWeight,
     MatrixL,
     NumberField,
     PolyQ,
@@ -619,6 +622,59 @@ def test_k_basis_matches_oracle(name):
 def test_k_basis_of_non_integral_modulus_matches_oracle(kernel_contexts):
     ctx = kernel_contexts["sqrt2_sqrt3"]
     assert ctx.k_basis == oracle_fixed_space(ctx, ctx.subgroup)
+
+
+def all_subgroups(ctx):
+    """Every subgroup of G: close each one found under one more element."""
+    def closure(elems):
+        span = set(elems)
+        while True:
+            grown = span | {ctx.compose(g, h) for g in span for h in span}
+            if grown == span:
+                return frozenset(span)
+            span = grown
+
+    found, todo = set(), [frozenset({0})]
+    while todo:
+        sub = todo.pop()
+        if sub not in found:
+            found.add(sub)
+            todo += [closure(sub | {g}) for g in ctx.full_group if g not in sub]
+    return sorted(tuple(sorted(sub)) for sub in found)
+
+
+# the fixed space is solved on a generating set of the subgroup it is given
+@pytest.mark.parametrize("name", STOCK_CONTEXTS)
+def test_fixed_space_of_every_subgroup_matches_oracle(name):
+    ctx = STOCK_CONTEXTS[name]()
+    subgroups = all_subgroups(ctx)
+    assert (0,) in subgroups and ctx.full_group in subgroups
+    for sub in subgroups:
+        assert ctx.fixed_space_basis(sub) == oracle_fixed_space(ctx, sub), sub
+
+
+@pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+def test_fixed_space_of_every_kernel_subgroup_matches_oracle(kernel_contexts, name):
+    ctx = kernel_contexts[name]
+    for sub in all_subgroups(ctx):
+        assert ctx.fixed_space_basis(sub) == oracle_fixed_space(ctx, sub), sub
+
+
+@pytest.mark.parametrize("name", ["qi", "zeta5", "zeta5_h03", "zeta8", "zeta15", "zeta16_h07",
+                                  "s3", "s3_h03"])
+def test_fixed_space_of_stabilizers_matches_oracle(name):
+    ctx = STOCK_CONTEXTS[name]()
+    a2 = root_system("A2")
+    rng = random.Random(163)
+    pool = period_points(ctx)
+    sample = [LWeight.single(ctx, a2, 0, p) for p in pool]
+    sample += [random_dominant(ctx, a2, rng, max_support=2, pool=pool) for _ in range(12)]
+    stabilizers = set()
+    for lw in sample:
+        stab = lw.stabilizer()
+        stabilizers.add(stab)
+        assert ctx.fixed_space_basis(stab) == oracle_fixed_space(ctx, stab), lw
+    assert len(stabilizers) > 1 or len(ctx.subgroup) == 1
 
 
 CARTAN_TYPES = ("A1", "A2", "A5", "A8", "B2", "B3", "B8", "C3", "C8", "D4", "D8",

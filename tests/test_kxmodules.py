@@ -25,6 +25,7 @@ from looprep.kxmodules import KXModule
 from conftest import (
     KERNEL_CONTEXTS,
     gauss_jordan_inverse,
+    period_points,
     point_pool,
     random_dominant,
     s3_context,
@@ -373,19 +374,31 @@ class TestEmbeddingRank:
         assert tensor_embedding_rank(p, q) == (4, True)
 
     def test_rejects_non_dominant(self, iu):
-        with pytest.raises(NotDominant):
+        with pytest.raises(NotDominant, match="embedding rank requires dominant"):
             tensor_embedding_rank(iu.inverse(), iu)
+        with pytest.raises(NotDominant, match="embedding rank requires dominant"):
+            tensor_embedding_rank(iu, iu.inverse())
 
-    def test_uses_the_module_primitive_and_dim(self, cyclo5, a1):
+    @pytest.mark.parametrize("ctx_name", ["qi", "cyclo5", "cyclo5_half", "zeta8", "s3",
+                                          "s3_h03"])
+    def test_uses_the_module_primitive_and_dim(self, ctx_name, request, a1):
+        # the oracle is the power-basis rank: the Q-rank of kappa t_a^j t_b^k
+        # over the two modules' primitives and the k_basis, over [K:Q]
+        ctx = request.getfixturevalue(ctx_name)
+        k_deg = len(ctx.k_basis)
+        pool = period_points(ctx)
         rng = random.Random(151)
-        for _ in range(4):
-            x = random_dominant(cyclo5, a1, rng, max_support=2)
-            y = random_dominant(cyclo5, a1, rng, max_support=2)
+        for _ in range(8):
+            x = random_dominant(ctx, a1, rng, max_support=2, pool=pool)
+            y = random_dominant(ctx, a1, rng, max_support=2, pool=pool)
             mx, my = build_kx_module(x), build_kx_module(y)
-            powers = [[(mx.primitive ** j * my.primitive ** k).coords for k in range(my.dim)]
-                      for j in range(mx.dim)]
-            rank, _ = tensor_embedding_rank(x, y)
-            assert rank == frac_rank([list(c) for row in powers for c in row])
+            rows = [list((kappa * mx.primitive ** j * my.primitive ** k).coords)
+                    for j in range(mx.dim) for k in range(my.dim) for kappa in ctx.k_basis]
+            q_rank = frac_rank(rows)
+            rank, injective = tensor_embedding_rank(x, y)
+            assert q_rank % k_deg == 0
+            assert rank == q_rank // k_deg
+            assert injective == (rank == mx.dim * my.dim)
 
     @pytest.mark.parametrize("ctx_name", ["qi", "cyclo5_half", "zeta8"])
     def test_rank_equals_compositum_degree(self, ctx_name, request, a1):
@@ -457,6 +470,12 @@ ORACLE_CONTEXTS = ("zeta5", "zeta7", "zeta8", "zeta15", "cyclo5_half")
 @pytest.fixture(scope="session")
 def s3():
     return s3_context()
+
+
+@pytest.fixture(scope="session")
+def s3_h03():
+    """S3 with H = [0, 3]: K = Q(2^(1/3)), not Galois over Q."""
+    return s3_context([0, 3])
 
 
 @pytest.fixture(scope="session")

@@ -174,6 +174,8 @@ class TestConstruction:
             root_system("H2")
         with pytest.raises(UnknownType):
             root_system("B1")
+        with pytest.raises(UnknownType):
+            root_system("g2")
 
     def test_highest_root_is_maximal(self, g2, b2):
         for rs in (g2, b2):

@@ -98,6 +98,27 @@ def test_split_certificate_uses_no_char_poly():
     assert "char_poly" in looprep.__all__
 
 
+def test_one_primitive_search_in_kxmodules():
+    # build_kx_module runs the only primitive search; the embedding rank
+    # reads K(a) and K(b) as the fixed fields of the stabilizers and builds
+    # no module, primitive or power of one
+    with open(os.path.join(SRC, "kxmodules.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="kxmodules.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def calls(root, name):
+        return [node.lineno for node in ast.walk(root) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == name]
+
+    search = calls(tree, "_primitive_candidates")
+    assert len(search) == 1
+    assert calls(functions["build_kx_module"], "_primitive_candidates") == search
+    rank = functions["tensor_embedding_rank"]
+    assert calls(rank, "_primitive_candidates") == calls(rank, "build_kx_module") == []
+    assert not any(isinstance(node, ast.Pow) for node in ast.walk(rank))
+    assert "_primitive_embedding" not in functions
+
+
 def attribute_calls(attr):
     """'module:line' of every call of a method or class method named attr."""
     return ["%s:%d" % (name, node.lineno) for name, node in library_nodes()
