@@ -22,8 +22,8 @@ _EXPORTS = {
                  "dim_weyl_f", "dim_weyl_k", "tensor_decompose_k",
                  "tp_irreducible_criterion"),
     "errors": ("CertificateFailed", "LoopRepError", "RootDataInconsistency"),
-    "exact": ("FieldElem", "MatrixL", "NumberField", "PolyQ", "SmithForm", "char_poly",
-              "poly_gcd", "smith_normal_form"),
+    "exact": ("FieldElem", "MatrixL", "NumberField", "SmithForm", "char_poly",
+              "smith_normal_form"),
     "galois": ("GaloisContext", "build_context", "context_from_json", "cyclotomic_context",
                "gaussian_context", "rational_context"),
     "kxmodules": ("KXModule", "build_kx_module", "char_poly_split_check", "iso_test",

@@ -4,7 +4,9 @@ A job file is UTF-8 JSON declaring a field context, a Lie type, named
 l-weights, and an ordered list of commands.  Commands run sequentially and
 results are reported in order, human-readable on stdout and optionally as a
 machine-readable JSON report.  Identical job files produce byte-identical
-reports.
+reports.  A command that fails stops the job; the JSON report then holds the
+results before it and one "error" record naming the command, its index, the
+error class and the message.
 """
 
 from __future__ import annotations
@@ -475,20 +477,22 @@ def run(job_path, json_path=None, quiet=False, max_steps=8, order=8):
         print("error: malformed job file: %s" % exc, file=sys.stderr)
         return 2
 
-    results = []
+    results, failed, code = [], None, 0
     for index, tokens in enumerate(job.commands):
         try:
             result, lines = _run_command(job, tokens)
         except (JobError, ValueError) as exc:
             # ValueError covers literal mistakes in the command
             print("error: command %d: %s" % (index, exc), file=sys.stderr)
-            return 2
+            failed, code = exc, 2
+            break
         except LoopRepError as exc:
             print(
                 "error: command %d: %s: %s" % (index, type(exc).__name__, exc),
                 file=sys.stderr,
             )
-            return 1
+            failed, code = exc, 1
+            break
         results.append({"index": index, "command": tokens, "result": result})
         if not quiet:
             print("\n".join(["[%d] %s" % (index, " ".join(tokens))]
@@ -496,6 +500,9 @@ def run(job_path, json_path=None, quiet=False, max_steps=8, order=8):
 
     if json_path:
         report = {"schemaVersion": SCHEMA_VERSION, "results": results}
+        if failed is not None:
+            report["error"] = {"index": index, "command": tokens,
+                               "errorClass": type(failed).__name__, "message": str(failed)}
         try:
             with open(json_path, "w", encoding="utf-8") as fh:
                 json.dump(report, fh, indent=2, sort_keys=True)
@@ -503,7 +510,7 @@ def run(job_path, json_path=None, quiet=False, max_steps=8, order=8):
         except OSError as exc:
             print("error: bad --json report path: %s" % exc, file=sys.stderr)
             return 2
-    return 0
+    return code
 
 
 def main(argv=None) -> int:

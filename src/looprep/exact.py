@@ -1,10 +1,11 @@
 """Exact arithmetic foundation.
 
 Rationals are stdlib fractions.Fraction (already canonical: reduced, positive
-denominator, hashable).  On top of that this module provides univariate
-polynomials over Q, number field elements Q[theta]/(m), dense matrices over a
-number field, integer linear algebra, and the integer Smith normal form.
-Everything is immutable after construction and all operations are pure.
+denominator, hashable).  On top of that this module provides number fields
+Q[theta]/(m), given by the ascending coefficients of m, their elements,
+dense matrices over a number field, integer linear algebra, and the integer
+Smith normal form.  Everything is immutable after construction and all
+operations are pure.
 
 Linear algebra has one elimination routine, int_rref: a fraction-free
 Gauss-Jordan on integer rows that returns the reduced echelon form as
@@ -21,7 +22,7 @@ scaling, products and matrix dot products all run on that form.  A product
 convolves the operands' numerators, folds the terms of degree >= n back with
 a precomputed integer table of theta^n, ..., theta^(2n-2) mod m, and reduces
 by one gcd.  FieldElem.coords, the canonical Fraction tuple, is derived from
-the form only for serialized forms, reprs and polynomial views.
+the form only for serialized forms and reprs.
 """
 
 from __future__ import annotations
@@ -37,140 +38,10 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class PolyQ(Immutable):
-    """Univariate polynomial over Q, coefficients stored ascending in degree.
-
-    The zero polynomial has an empty coefficient tuple; otherwise the leading
-    coefficient is nonzero.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def x(cls, degree: int = 1) -> "PolyQ":
-        return cls([0] * degree + [1])
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other):
-        return isinstance(other, PolyQ) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "PolyQ") -> "PolyQ":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyQ(out)
-
-    def __neg__(self) -> "PolyQ":
-        return PolyQ([-c for c in self.coeffs])
-
-    def __sub__(self, other: "PolyQ") -> "PolyQ":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PolyQ([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return PolyQ(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "PolyQ"):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = other.degree
-        lead = other.coeffs[-1]
-        quo = [Fraction(0)] * max(len(rem) - dq, 1)
-        while len(rem) - 1 >= dq and any(rem):
-            k = len(rem) - 1
-            if rem[k] == 0:
-                rem.pop()
-                continue
-            f = rem[k] / lead
-            quo[k - dq] = f
-            for j in range(dq + 1):
-                rem[k - dq + j] -= f * other.coeffs[j]
-            rem.pop()
-        return PolyQ(quo), PolyQ(rem)
-
-    def __mod__(self, other: "PolyQ") -> "PolyQ":
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "PolyQ") -> "PolyQ":
-        return divmod(self, other)[0]
-
-    def monic(self) -> "PolyQ":
-        if self.is_zero:
-            return self
-        return self * (1 / self.coeffs[-1])
-
-    def derivative(self) -> "PolyQ":
-        return PolyQ([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x):
-        """Evaluate by Horner; works for Fraction and FieldElem arguments."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return Fraction(0) if isinstance(x, (int, Fraction)) else x - x
-        return acc
-
-    def to_json(self):
-        return [str(c) for c in self.coeffs]
-
-    def __repr__(self):
-        if self.is_zero:
-            return "PolyQ(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                u = "u" if i == 1 else "u^%d" % i
-                terms.append(u if c == 1 else "%s*%s" % (c, u))
-        return "PolyQ(%s)" % " + ".join(terms)
-
-
-def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic greatest common divisor; gcd(0, 0) = 0."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
 class NumberField(Immutable):
-    """The quotient ring Q[theta]/(m) for a monic modulus m of degree >= 1.
+    """The quotient ring Q[theta]/(m) for a monic modulus m of degree >= 1,
+    given by its ascending rational coefficients; trailing zeros are dropped
+    and ``modulus`` holds the rest as a tuple of Fractions.
 
     Arithmetic assumes m is irreducible; a reducible modulus is detected at
     the first inversion of a zero divisor (ZeroDivisor).
@@ -181,22 +52,23 @@ class NumberField(Immutable):
 
     __slots__ = ("modulus", "degree", "fold_rows", "fold_den")
 
-    def __init__(self, modulus: PolyQ):
-        if not isinstance(modulus, PolyQ):
-            modulus = PolyQ(modulus)
-        if modulus.degree < 1:
+    def __init__(self, modulus):
+        modulus = [_frac(c) for c in modulus]
+        while modulus and not modulus[-1]:
+            modulus.pop()
+        n = len(modulus) - 1
+        if n < 1:
             raise ValueError("modulus must have degree >= 1")
-        if not modulus.is_monic:
+        if modulus[n] != 1:
             raise ValueError("modulus must be monic")
-        n = modulus.degree
-        low = [-c for c in modulus.coeffs[:n]]  # theta^n = sum low[i] theta^i
+        low = [-c for c in modulus[:n]]  # theta^n = sum low[i] theta^i
         rows, row = [], low
         for _ in range(n - 1):
             rows.append(row)
             top = row[-1]
             row = [top * low[0]] + [row[i - 1] + top * low[i] for i in range(1, n)]
         den = lcm(*(c.denominator for r in rows for c in r))
-        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "modulus", tuple(modulus))
         object.__setattr__(self, "degree", n)
         object.__setattr__(self, "fold_rows", tuple(
             tuple((i, c.numerator * (den // c.denominator)) for i, c in enumerate(r) if c)
@@ -219,12 +91,17 @@ class NumberField(Immutable):
         return hash(self.modulus)
 
     def elem(self, coords) -> "FieldElem":
-        """Element from coordinates (any length; reduced mod the modulus)."""
-        return self.from_poly(PolyQ(coords))
-
-    def from_poly(self, p: PolyQ) -> "FieldElem":
-        r = p % self.modulus
-        return FieldElem(self, r.coeffs + (Fraction(0),) * (self.degree - len(r.coeffs)))
+        """The element sum(coords[k] * theta^k), for a list of rational
+        coordinates of any length: from the top down, each theta^k with
+        k >= n is replaced by theta^(k-n) * (theta^n - m)."""
+        n, m = self.degree, self.modulus
+        r = [_frac(c) for c in coords]
+        for k in range(len(r) - 1, n - 1, -1):
+            c = r.pop()
+            if c:
+                for i in range(n):
+                    r[k - n + i] -= c * m[i]
+        return FieldElem(self, r + [Fraction(0)] * (n - len(r)))
 
     def scalar(self, c) -> "FieldElem":
         if type(c) is not int:
@@ -245,7 +122,7 @@ class NumberField(Immutable):
         return self.elem([0, 1])
 
     def __repr__(self):
-        return "NumberField(%r)" % (self.modulus,)
+        return "NumberField(%s)" % ", ".join(str(c) for c in self.modulus)
 
 
 class FieldElem(Immutable):
@@ -403,9 +280,6 @@ class FieldElem(Immutable):
         den is the least common denominator of the coordinates.
         """
         return tuple((i, x) for i, x in enumerate(self.nums) if x), self.den
-
-    def as_poly(self) -> PolyQ:
-        return PolyQ(self.coords)
 
     def to_json(self):
         return [str(c) for c in self.coords]

@@ -13,6 +13,7 @@ spectral character is a relabeling of its points.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
@@ -22,14 +23,9 @@ from .errors import (
     NotClosed,
     NotSquareFree,
     WrongOrder,
+    ZeroDivisor,
 )
-from .exact import (
-    FieldElem,
-    NumberField,
-    PolyQ,
-    int_kernel_basis,
-    poly_gcd,
-)
+from .exact import FieldElem, NumberField, int_kernel_basis
 from .record import Immutable
 
 
@@ -137,9 +133,17 @@ class GaloisContext(Immutable):
     # -- serialization
 
     def to_json(self):
+        """Modulus and images as ascending coefficient strings, the images
+        without trailing zeros."""
+        images = []
+        for img in self.images:
+            coeffs = img.to_json()
+            while coeffs and coeffs[-1] == "0":
+                coeffs.pop()
+            images.append(coeffs)
         return {
-            "modulus": self.field.modulus.to_json(),
-            "automorphisms": [img.as_poly().to_json() for img in self.images],
+            "modulus": [str(c) for c in self.field.modulus],
+            "automorphisms": images,
             "subgroup": list(self.subgroup),
         }
 
@@ -150,21 +154,28 @@ class GaloisContext(Immutable):
 def build_context(modulus, aut_images, subgroup=None) -> GaloisContext:
     """Validate modulus, automorphism images, and subgroup; build the context.
 
-    aut_images are polynomials in theta giving g(theta) for each group
-    element; element 0 must be the identity.  subgroup is a list of element
-    indices (default: the whole group, so K = Q).
+    The modulus and the images g(theta), one for each group element, are
+    lists of ascending rational coefficients; an image may be longer than
+    the degree and is reduced mod the modulus.  Element 0 must be the
+    identity.  subgroup is a list of int element indices (default: the whole
+    group, so K = Q).
     """
-    modulus = modulus if isinstance(modulus, PolyQ) else PolyQ(modulus)
-    if modulus.degree < 1 or not modulus.is_monic:
-        raise WrongOrder("modulus must be monic of degree >= 1")
-    if poly_gcd(modulus, modulus.derivative()).degree != 0:
-        raise NotSquareFree("modulus shares a factor with its derivative")
+    # a coefficient Fraction() rejects keeps its ValueError; only the shape
+    # of the modulus is a WrongOrder
+    modulus = [Fraction(c) for c in modulus]
+    try:
+        field = NumberField(modulus)
+    except ValueError:
+        raise WrongOrder("modulus must be monic of degree >= 1") from None
+    # m is square-free exactly when gcd(m, m') = 1, that is when m'(theta) is
+    # a unit of Q[theta]/(m), whose multiplication matrix inverse() solves on
+    try:
+        field.elem([k * c for k, c in enumerate(field.modulus)][1:]).inverse()
+    except ZeroDivisor:
+        raise NotSquareFree("modulus shares a factor with its derivative") from None
 
-    field = NumberField(modulus)
     n = field.degree
-    images = tuple(
-        field.from_poly(p if isinstance(p, PolyQ) else PolyQ(p)) for p in aut_images
-    )
+    images = tuple(field.elem(p) for p in aut_images)
     if len(images) != n:
         raise WrongOrder("group order %d but modulus degree %d" % (len(images), n))
     if len(set(images)) != n:
@@ -172,7 +183,10 @@ def build_context(modulus, aut_images, subgroup=None) -> GaloisContext:
     if images[0] != field.gen:
         raise NotClosed("element 0 must be the identity automorphism")
     for img in images:
-        if modulus(img):
+        value = field.one  # m is monic
+        for c in reversed(field.modulus[:-1]):
+            value = value * img + c
+        if value:
             raise NotARoot("image %r is not a root of the modulus" % (img,))
 
     # matrix of each automorphism on the power basis (column k = g(theta)^k)
@@ -203,7 +217,10 @@ def build_context(modulus, aut_images, subgroup=None) -> GaloisContext:
         table.append(tuple(row))
     table = tuple(table)
 
-    subgroup = tuple(sorted(set(int(i) for i in (subgroup if subgroup is not None else range(n)))))
+    subgroup = tuple(range(n) if subgroup is None else subgroup)
+    if not all(isinstance(i, int) and not isinstance(i, bool) for i in subgroup):
+        raise BadSubgroup("subgroup entries must be int element indices")
+    subgroup = tuple(sorted(set(subgroup)))
     if not subgroup or subgroup[0] != 0 or subgroup[-1] >= n or subgroup[0] < 0:
         raise BadSubgroup("subgroup must contain the identity and valid indices")
     sub_set = set(subgroup)
@@ -275,25 +292,30 @@ def _act(field, aut_columns, a: FieldElem) -> FieldElem:
 
 
 def context_from_json(data) -> GaloisContext:
-    return build_context(
-        PolyQ(data["modulus"]),
-        [PolyQ(p) for p in data["automorphisms"]],
-        data.get("subgroup"),
-    )
+    return build_context(data["modulus"], data["automorphisms"], data.get("subgroup"))
 
 
 # -- stock contexts ------------------------------------------------------------
 
 def rational_context() -> GaloisContext:
     """The trivial context L = K = Q (modulus theta, one automorphism)."""
-    return build_context(PolyQ([0, 1]), [PolyQ([0, 1])], [0])
+    return build_context([0, 1], [[0, 1]], [0])
 
 
-def _cyclotomic_poly(n: int) -> PolyQ:
-    poly = PolyQ([-1] + [0] * (n - 1) + [1])  # x^n - 1
+def _cyclotomic_poly(n: int):
+    """Ascending integer coefficients of the n-th cyclotomic polynomial:
+    x^n - 1 divided exactly by the monic Phi_d of each proper divisor d."""
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = poly // _cyclotomic_poly(d)
+            divisor = _cyclotomic_poly(d)
+            top = len(divisor) - 1
+            quotient = [0] * (len(poly) - top)
+            for k in range(len(quotient) - 1, -1, -1):
+                c = quotient[k] = poly[k + top]
+                for j, y in enumerate(divisor):
+                    poly[k + j] -= c * y
+            poly = quotient
     return poly
 
 
@@ -306,11 +328,8 @@ def cyclotomic_context(n: int, subgroup=None) -> GaloisContext:
     """
     if n < 3:
         raise ValueError("use rational_context for degree-one fields")
-    modulus = _cyclotomic_poly(n)
-    field = NumberField(modulus)
     units = [k for k in range(1, n) if gcd(k, n) == 1]
-    images = [(field.gen ** k).as_poly() for k in units]
-    return build_context(modulus, images, subgroup)
+    return build_context(_cyclotomic_poly(n), [[0] * k + [1] for k in units], subgroup)
 
 
 def gaussian_context(subgroup=None) -> GaloisContext:

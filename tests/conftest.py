@@ -9,7 +9,6 @@ import looprep
 from looprep import (
     LWeight,
     MatrixL,
-    PolyQ,
     build_context,
     cyclotomic_context,
     gaussian_context,
@@ -72,7 +71,7 @@ def s3_context(subgroup=None):
     composition table is not symmetric.  The images send (2^(1/3), omega)
     to (omega^s 2^(1/3), omega^t) for (s, t) = (0, 1), (1, 1), (2, 1),
     (0, 2), (1, 2), (2, 2); H = [0, 3] has fixed field Q(2^(1/3))."""
-    return build_context(PolyQ(S3_MODULUS), [PolyQ(p) for p in S3_IMAGES], subgroup)
+    return build_context(S3_MODULUS, S3_IMAGES, subgroup)
 
 
 @pytest.fixture(scope="session")
@@ -90,8 +89,8 @@ def kernel_contexts():
         "zeta8": cyclotomic_context(8),
         "zeta15": cyclotomic_context(15),
         "sqrt2_sqrt3": build_context(
-            PolyQ([Fraction(1, 16), 0, Fraction(-5, 2), 0, 1]),
-            [PolyQ([0, 1]), PolyQ([0, 10, 0, -4]), PolyQ([0, -10, 0, 4]), PolyQ([0, -1])],
+            [Fraction(1, 16), 0, Fraction(-5, 2), 0, 1],
+            [[0, 1], [0, 10, 0, -4], [0, -10, 0, 4], [0, -1]],
         ),
     }
 

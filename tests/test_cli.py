@@ -705,6 +705,54 @@ class TestReportPath:
         assert "bad --json report path" in capsys.readouterr().err
 
 
+class TestFailedJobReport:
+    """A job that fails at a command after loading still writes its --json
+    report: the results before the command and one error record."""
+
+    NOT_DOMINANT = {"n": [{"node": 1, "point": ["0", "1"], "exp": -1}],
+                    "p": [{"node": 1, "point": ["0", "1"], "exp": 1}]}
+
+    def test_validation_failure_keeps_the_completed_results(self, tmp_path, capsys):
+        commands = ["validate-field", "lw-info p", "tensor n p", "dual p"]
+        job = write_job(tmp_path, commands, lweights=self.NOT_DOMINANT)
+        report = tmp_path / "report.json"
+        assert run(str(job), json_path=str(report)) == 1
+        out, err = capsys.readouterr()
+        assert out.count("\n[") == 1 and out.startswith("[0] validate-field")
+        written = json.loads(report.read_text())
+        complete = run_json(tmp_path, commands[:2], lweights=self.NOT_DOMINANT)
+        assert written["results"] == complete["results"]
+        assert written["error"] == {
+            "index": 2, "command": ["tensor", "n", "p"], "errorClass": "NotDominant",
+            "message": err.split("NotDominant: ", 1)[1].rstrip("\n")}
+        assert sorted(written) == ["error", "results", "schemaVersion"]
+
+    def test_malformed_command_names_its_class(self, tmp_path, capsys):
+        job = write_job(tmp_path, ["validate-field", "lw-info nope"])
+        report = tmp_path / "report.json"
+        assert run(str(job), json_path=str(report), quiet=True) == 2
+        written = json.loads(report.read_text())
+        assert [r["index"] for r in written["results"]] == [0]
+        assert written["error"] == {"index": 1, "command": ["lw-info", "nope"],
+                                    "errorClass": "JobError",
+                                    "message": "unknown l-weight name 'nope'"}
+        assert capsys.readouterr().err == "error: command 1: unknown l-weight name 'nope'\n"
+
+    def test_failure_in_the_first_command(self, tmp_path):
+        job = write_job(tmp_path, ["link-chain A1 1 0"])
+        report = tmp_path / "report.json"
+        assert run(str(job), json_path=str(report), quiet=True) == 1
+        written = json.loads(report.read_text())
+        assert written["results"] == [] and written["error"]["errorClass"] == "NotSameClass"
+
+    @pytest.mark.parametrize("lie_type, code", [("Z2", 1), ("A9", 2)])
+    def test_failure_while_loading_leaves_no_report(self, tmp_path, lie_type, code):
+        job = write_job(tmp_path, ["validate-field"], lie_type=lie_type)
+        report = tmp_path / "report.json"
+        assert run(str(job), json_path=str(report), quiet=True) == code
+        assert not report.exists()
+
+
 def _node_zero(job):
     job["lweights"]["p"][0]["node"] = 0
 
@@ -893,8 +941,17 @@ class TestFuzzedJobs:
                 code = run(path, json_path=report)
             assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
-            assert (code == 0) == os.path.isfile(report)
+            # a job that fails after loading reports the command it failed
+            # at; one that fails before loading, or on its report path, none
+            failed_command = err.getvalue().startswith("error: command ")
+            assert (code == 0 or failed_command) == os.path.isfile(report)
             assert (code == 0) == (err.getvalue() == "")
+            if os.path.isfile(report):
+                with open(report, encoding="utf-8") as fh:
+                    written = json.load(fh)
+                errors = [written["error"]] if "error" in written else []
+                assert len(errors) == (code != 0)
+                assert all(e["index"] == len(written["results"]) for e in errors)
             if where != REPORT_PATHS[0]:
                 assert code == 2 and out.getvalue() == ""
 

@@ -1,14 +1,17 @@
 import importlib
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 from unittest import mock
 
 import pytest
 from conftest import CONTEXTS, KERNEL_CONTEXTS, field_elements, s3_context
+from exact_oracle import poly_mul, poly_xgcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looprep import FieldElem, PolyQ, build_context, context_from_json, cyclotomic_context
+from looprep import FieldElem, build_context, context_from_json, cyclotomic_context
 from looprep.errors import (
     BadSubgroup,
     FixedFieldTooBig,
@@ -40,24 +43,24 @@ class TestBuildContext:
 
     def test_not_a_root(self):
         with pytest.raises(NotARoot):
-            build_context(PolyQ([1, 0, 1]), [PolyQ([0, 1]), PolyQ([1, 1])])
+            build_context([1, 0, 1], [[0, 1], [1, 1]])
 
     def test_wrong_order(self):
         with pytest.raises(WrongOrder):
-            build_context(PolyQ([1, 0, 1]), [PolyQ([0, 1])])
+            build_context([1, 0, 1], [[0, 1]])
 
     def test_identity_must_come_first(self):
         with pytest.raises(NotClosed):
-            build_context(PolyQ([1, 0, 1]), [PolyQ([0, -1]), PolyQ([0, 1])])
+            build_context([1, 0, 1], [[0, -1], [0, 1]])
 
     def test_non_invertible_root_map(self):
         # theta^2 - 1 has the root 1; theta -> 1 is not invertible
         with pytest.raises(NotClosed):
-            build_context(PolyQ([-1, 0, 1]), [PolyQ([0, 1]), PolyQ([1])])
+            build_context([-1, 0, 1], [[0, 1], [1]])
 
     def test_not_square_free(self):
         with pytest.raises(NotSquareFree):
-            build_context(PolyQ([1, 2, 1]), [PolyQ([0, 1]), PolyQ([-2, -1])])
+            build_context([1, 2, 1], [[0, 1], [-2, -1]])
 
     def test_fixed_field_too_big(self):
         # theta^4 - 1 is square-free but reducible; the Klein four image set
@@ -65,21 +68,33 @@ class TestBuildContext:
         # checks yet fixes the two-dimensional space spanned by 1, theta^2
         with pytest.raises(FixedFieldTooBig):
             build_context(
-                PolyQ([-1, 0, 0, 0, 1]),
-                [PolyQ([0, 1]), PolyQ([0, -1]), PolyQ([0, 0, 0, 1]), PolyQ([0, 0, 0, -1])],
+                [-1, 0, 0, 0, 1],
+                [[0, 1], [0, -1], [0, 0, 0, 1], [0, 0, 0, -1]],
             )
 
     def test_bad_subgroup(self, cyclo5):
         with pytest.raises(BadSubgroup):
             build_context(
                 cyclo5.field.modulus,
-                [img.as_poly() for img in cyclo5.images],
+                cyclo5.to_json()["automorphisms"],
                 [0, 1],  # theta -> theta^2 squared leaves the set
             )
 
     def test_json_round_trip(self, cyclo5_half):
         again = context_from_json(cyclo5_half.to_json())
         assert again == cyclo5_half
+
+    @pytest.mark.parametrize("subgroup", [
+        [0, 3.7], [0, 3.0], ["0", 3], [0, True], [False, 3], [0, None], [0, Fraction(3)],
+        ["0", True, 3, 2.0]])
+    def test_subgroup_entries_must_be_ints(self, subgroup):
+        # entries used to go through int(): [0, 3.7] built H = (0, 3)
+        with pytest.raises(BadSubgroup):
+            cyclotomic_context(5, subgroup)
+
+    def test_subgroup_as_any_sequence_of_ints(self, cyclo5_half):
+        assert cyclotomic_context(5, (3, 0, 3)) == cyclo5_half
+        assert cyclotomic_context(5, range(4)) == cyclotomic_context(5)
 
 
 class TestAutomorphismAction:
@@ -316,3 +331,91 @@ class TestPointTable:
         assert a._point_rows != b._point_rows
         assert a == b and hash(a) == hash(b)
         assert a != cyclotomic_context(5, [0, 3])
+
+
+# --- field set-up on coefficient lists against the Fraction oracles -----------
+
+def square_free_oracle(modulus):
+    """gcd(m, m') has degree 0, by extended Euclid on Fraction polynomials."""
+    derivative = [k * c for k, c in enumerate(modulus)][1:]
+    return len(poly_xgcd(modulus, derivative)[0]) == 1
+
+
+def monic_product(factors):
+    return reduce(poly_mul, [low + [1] for low in factors], [1])
+
+
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+monic_factors = st.lists(coefficients, min_size=1, max_size=2)
+# random monic moduli of degree 1..8, and products of monic factors of degree
+# 1 or 2 with repeats, so that both decisions are drawn often
+moduli = st.one_of(
+    st.lists(coefficients, min_size=1, max_size=8).map(lambda low: low + [1]),
+    st.lists(monic_factors, min_size=1, max_size=3)
+    .flatmap(lambda fs: st.lists(st.sampled_from(fs), min_size=len(fs), max_size=len(fs) + 2)
+             .map(lambda repeats: fs + repeats))
+    .filter(lambda fs: sum(map(len, fs)) <= 8)
+    .map(monic_product),
+)
+
+
+class TestFieldSetUp:
+    @pytest.mark.parametrize("modulus, square_free", [
+        ([1, 0, 2, 0, 1], False),    # (x^2 + 1)^2
+        ([-1, 0, 1], True),          # x^2 - 1: reducible but square-free
+        ([0, 0, 0, 1], False),       # x^3
+        ([Fraction(1, 4), -1, 1], False),  # (x - 1/2)^2
+        ([0, 1], True),
+        ([2, 0, 0, 1], True),
+    ])
+    def test_square_free_examples(self, modulus, square_free):
+        assert square_free_oracle(modulus) == square_free
+        # no images: a square-free modulus fails at the group order instead
+        with pytest.raises(WrongOrder if square_free else NotSquareFree):
+            build_context(modulus, [])
+
+    @settings(deadline=None)
+    @given(modulus=moduli)
+    def test_square_free_matches_xgcd(self, modulus):
+        with pytest.raises(WrongOrder if square_free_oracle(modulus) else NotSquareFree):
+            build_context(modulus, [])
+
+    def test_cyclotomic_polynomials(self):
+        def mul(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        for n in range(1, 101):
+            phi = galois_module._cyclotomic_poly(n)
+            assert all(type(c) is int for c in phi)
+            assert len(phi) - 1 == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+            product = [1]
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    product = mul(product, galois_module._cyclotomic_poly(d))
+            assert product == [-1] + [0] * (n - 1) + [1], n
+
+    def test_job_fields_are_pinned(self):
+        # these dicts are the field of every seeded benchmark job file
+        z5 = {"modulus": ["1", "1", "1", "1", "1"],
+              "automorphisms": [["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"],
+                                ["-1", "-1", "-1", "-1"]]}
+        assert cyclotomic_context(4).to_json() == {
+            "modulus": ["1", "0", "1"], "automorphisms": [["0", "1"], ["0", "-1"]],
+            "subgroup": [0, 1]}
+        assert cyclotomic_context(5).to_json() == dict(z5, subgroup=[0, 1, 2, 3])
+        assert cyclotomic_context(5, (0, 3)).to_json() == dict(z5, subgroup=[0, 3])
+        assert cyclotomic_context(8).to_json() == {
+            "modulus": ["1", "0", "0", "0", "1"],
+            "automorphisms": [["0", "1"], ["0", "0", "0", "1"], ["0", "-1"],
+                              ["0", "0", "0", "-1"]],
+            "subgroup": [0, 1, 2, 3]}
+
+    def test_images_may_be_unreduced(self, cyclo5):
+        # theta^5 = 1 and theta^8 = theta^3 in the fifth cyclotomic field
+        again = build_context([1, 1, 1, 1, 1], [[0, 1], [0, 0, 1], [0, 0, 0, 0, 0, 0, 0, 0, 1],
+                                                [0, 0, 0, 0, 1]])
+        assert again == cyclo5

@@ -35,7 +35,7 @@ def test_no_assert_statements_in_library():
 
 def test_only_exact_reads_coordinates():
     # field elements order, hash and compare themselves on the integer form;
-    # the Fraction coordinates are for exact's own JSON, repr and PolyQ views
+    # the Fraction coordinates are for exact's own JSON and reprs
     found = ["%s:%d" % (name, node.lineno) for name, node in library_nodes()
              if name != "exact.py" and isinstance(node, ast.Attribute)
              and node.attr == "coords"]
@@ -187,15 +187,15 @@ CLI_MODULES = {"looprep." + m for m in (
 
 PUBLIC_NAMES = {
     "CertificateFailed", "Decomposition", "FieldElem", "GaloisContext", "IrrClass",
-    "KXModule", "LWeight", "LoopRepError", "MatrixL", "NumberField", "PolyQ",
+    "KXModule", "LWeight", "LoopRepError", "MatrixL", "NumberField",
     "RootDataInconsistency", "RootSystem", "SmithForm", "SpectralCharacter", "SymPoly",
     "TruncSeries", "binom_poly", "build_context", "build_kx_module", "char_poly",
     "char_poly_split_check", "classify", "compositum_degree", "context_from_json",
     "cyclotomic_context", "dim_weyl_f", "dim_weyl_k", "equivalent_chars", "ev_lambda_check",
     "eval_at", "gaussian_context", "generic_lambda_series", "h_from_lambda", "h_series",
     "h_symbol", "iso_test", "lambda_alpha_from_simples", "lambda_alpha_identity_holds",
-    "lambda_from_h", "multiplication_matrix", "partition_blocks", "poly_gcd",
-    "rational_context", "root_system", "same_block", "series_inverse", "smith_normal_form",
+    "lambda_from_h", "multiplication_matrix", "partition_blocks", "rational_context",
+    "root_system", "same_block", "series_inverse", "smith_normal_form",
     "spectral_character", "tensor_decompose_k", "tensor_embedding_rank",
     "tp_irreducible_criterion", "twist",
 }
@@ -209,7 +209,7 @@ def test_cli_import_loads_no_dataclasses(src_env):
 
 
 def test_package_names_resolve_on_first_use(src_env):
-    assert set(looprep.__all__) == PUBLIC_NAMES and len(looprep.__all__) == 53
+    assert set(looprep.__all__) == PUBLIC_NAMES and len(looprep.__all__) == 51
     assert set(looprep.__all__) <= set(dir(looprep))
     with pytest.raises(AttributeError):
         looprep.nope
