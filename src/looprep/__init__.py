@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "blocks": ("SpectralCharacter", "equivalent_chars", "partition_blocks", "same_block",
-               "spectral_character"),
+    "blocks": ("SpectralCharacter", "partition_blocks", "same_block", "spectral_character"),
     "classify": ("Decomposition", "IrrClass", "classify", "compositum_degree",
                  "dim_weyl_f", "dim_weyl_k", "tensor_decompose_k",
                  "tp_irreducible_criterion"),
@@ -31,9 +30,8 @@ _EXPORTS = {
     "lweights": ("LWeight",),
     "roots": ("RootSystem", "root_system"),
     "series": ("SymPoly", "TruncSeries", "binom_poly", "ev_lambda_check", "eval_at",
-               "generic_lambda_series", "h_from_lambda", "h_series", "h_symbol",
-               "lambda_alpha_from_simples", "lambda_alpha_identity_holds",
-               "lambda_from_h", "series_inverse", "twist"),
+               "h_from_lambda", "h_series", "h_symbol", "lambda_alpha_from_simples",
+               "lambda_alpha_identity_holds", "lambda_from_h", "series_inverse"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_OWNER)

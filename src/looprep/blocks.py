@@ -9,7 +9,7 @@ other, that is, when their characters have the same canonical orbit key.
 
 from __future__ import annotations
 
-from .errors import ContextMismatch, NotDominant
+from .errors import NotDominant
 from .lweights import LWeight
 from .record import Immutable
 
@@ -25,18 +25,10 @@ class SpectralCharacter(Immutable):
         object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "entries", clean)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.entries
-
     def _rows(self):
         """(point images under G, class) for every entry."""
         images = self.ctx.point_images
         return [(images(p), v) for p, v in self.entries.items()]
-
-    def translate(self, g: int) -> "SpectralCharacter":
-        """The character moved by g: a relabeling through the point table."""
-        return SpectralCharacter(self.ctx, self.rs, {row[g]: v for row, v in self._rows()})
 
     def class_key(self):
         """Canonical H-orbit key: over the H-translates, the least tuple of
@@ -76,16 +68,10 @@ def spectral_character(lweight: LWeight) -> SpectralCharacter:
     return SpectralCharacter(lweight.ctx, lweight.rs, entries)
 
 
-def equivalent_chars(a: SpectralCharacter, b: SpectralCharacter) -> bool:
-    """Whether some h in H carries one character map onto the other."""
-    if a.ctx != b.ctx:
-        raise ContextMismatch("characters from different contexts")
-    return a.class_key() == b.class_key()
-
-
 def same_block(a: LWeight, b: LWeight) -> bool:
+    """Whether some h in H carries one spectral character onto the other."""
     a._require_compatible(b)
-    return equivalent_chars(spectral_character(a), spectral_character(b))
+    return spectral_character(a).class_key() == spectral_character(b).class_key()
 
 
 def partition_blocks(lweights):

@@ -29,11 +29,16 @@ from .classify import (
     tp_irreducible_criterion,
 )
 from .errors import LoopRepError
+from .exact import rational
 from .galois import context_from_json
 from .lweights import LWeight
 from .roots import _parse_type, root_system
 
 SCHEMA_VERSION = 1
+
+# link-chain's --max-steps and series-check's --order when a command gives none
+DEFAULT_STEPS = 8
+DEFAULT_ORDER = 8
 
 # Upper bounds on the work a job may ask for: a larger --max-steps, --order,
 # Lie-type rank, series-check rank times order, field degree or l-weight
@@ -112,20 +117,16 @@ def _is_int(value):
 
 
 def _check_rationals(coeffs, what, most):
-    """A JSON array of at most ``most`` rational coefficients: ints or ASCII
-    strings [+-]?[0-9]+(/[0-9]+)? like "-3/2" that Fraction() takes.
-    Fraction() alone would also take spaces, decimals and exponents, and
-    "1e10000000" would build a ten-million-digit integer."""
+    """A JSON array of at most ``most`` rational coefficients, each an int or
+    an ASCII string like "-3/2" (the library's rule, ``exact.rational``)."""
     if not isinstance(coeffs, list):
         raise JobError("%s must be an array" % what)
     if len(coeffs) > most:
         raise JobError("%s has %d coefficients, above %d" % (what, len(coeffs), most))
     for c in coeffs:
-        if not (_is_int(c) or isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", c)):
-            raise JobError("%s has a non-rational entry %r" % (what, c))
         try:
-            Fraction(c)
-        except (ValueError, ZeroDivisionError):
+            rational(c)
+        except ValueError:
             raise JobError("%s has a non-rational entry %r" % (what, c))
 
 
@@ -179,10 +180,9 @@ class Job:
     """A job file checked for shape and bounds (JobError otherwise), then
     loaded: the library's errors on the type and the field propagate as
     validation failures, and an l-weight record it rejects (a node that is
-    not an integer in 1..rank, a zero point) makes the job file malformed.
-    max_steps and order are the defaults of link-chain and series-check."""
+    not an integer in 1..rank, a zero point) makes the job file malformed."""
 
-    def __init__(self, data, max_steps=8, order=8):
+    def __init__(self, data):
         if not isinstance(data, dict):
             raise JobError("job file must be a JSON object")
         for key in ("field", "lieType", "commands"):
@@ -196,7 +196,6 @@ class Job:
         if not isinstance(data["commands"], list):
             raise JobError("commands must be an array")
         self.commands = [_tokens(c) for c in data["commands"]]
-        self.max_steps, self.order = max_steps, order
         self.rs = _root_system(data["lieType"])
         self.ctx = context_from_json(data["field"])
         self.lweights = {}
@@ -334,7 +333,7 @@ def _embedding_rank(job, opts, a, b):
 
 def _link_chain(job, opts, lie_type, lam_text, mu_text):
     rs = _root_system(lie_type)
-    max_steps = opts.get("max-steps", job.max_steps)
+    max_steps = opts.get("max-steps", DEFAULT_STEPS)
     if not 0 <= max_steps <= MAX_STEPS:
         raise JobError("link-chain: --max-steps must be in 0..%d, got %d" % (MAX_STEPS, max_steps))
     chain = rs.link_chain(_parse_weight(lam_text, rs.rank), _parse_weight(mu_text, rs.rank),
@@ -346,7 +345,7 @@ def _link_chain(job, opts, lie_type, lam_text, mu_text):
 def _series_check(job, opts):
     from .series import MAX_ORDER
 
-    order = opts.get("order", job.order)
+    order = opts.get("order", DEFAULT_ORDER)
     if not 1 <= order <= MAX_ORDER:
         raise JobError("series-check: --order must be in 1..%d, got %d" % (MAX_ORDER, order))
     rs = _root_system(opts.get("type", job.rs.lie_type))
@@ -459,7 +458,7 @@ def _report_path_error(json_path):
     return None
 
 
-def run(job_path, json_path=None, quiet=False, max_steps=8, order=8):
+def run(job_path, json_path=None, quiet=False):
     """Execute a job file; returns the process exit code."""
     problem = json_path and _report_path_error(json_path)
     if problem:
@@ -468,7 +467,7 @@ def run(job_path, json_path=None, quiet=False, max_steps=8, order=8):
     try:
         with open(job_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        job = Job(data, max_steps, order)
+        job = Job(data)
     except LoopRepError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
@@ -521,10 +520,8 @@ def main(argv=None) -> int:
     parser.add_argument("job", help="path to a JSON job file")
     parser.add_argument("--json", dest="json_path", help="write a JSON report here")
     parser.add_argument("--quiet", action="store_true", help="suppress stdout report")
-    parser.add_argument("--max-steps", type=int_literal, default=8, help="link chain bound")
-    parser.add_argument("--order", type=int_literal, default=8, help="series truncation order")
     ns = parser.parse_args(argv)
-    return run(ns.job, ns.json_path, ns.quiet, ns.max_steps, ns.order)
+    return run(ns.job, ns.json_path, ns.quiet)
 
 
 if __name__ == "__main__":

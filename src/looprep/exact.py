@@ -1,10 +1,14 @@
 """Exact arithmetic foundation.
 
 Rationals are stdlib fractions.Fraction (already canonical: reduced, positive
-denominator, hashable).  On top of that this module provides number fields
-Q[theta]/(m), given by the ascending coefficients of m, their elements,
-dense matrices over a number field, integer linear algebra, and the integer
-Smith normal form.  Everything is immutable after construction and all
+denominator, hashable).  Every rational input of the library (a modulus, a
+coordinate, a scalar, an automorphism image, a spectral point) passes one
+strict rule, ``rational``: an int that is not a bool, a Fraction, or an ASCII
+literal like "-3/2".  A float, a bool, a Decimal or a string like "1e0" is
+rejected with a ValueError, not coerced.  On top of that this module
+provides number fields Q[theta]/(m), given by the ascending coefficients of
+m, their elements, dense matrices over a number field, integer linear
+algebra, and the integer Smith normal form.  Everything is immutable after construction and all
 operations are pure.
 
 Linear algebra has one elimination routine, int_rref: a fraction-free
@@ -27,6 +31,7 @@ the form only for serialized forms and reprs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -34,14 +39,32 @@ from .errors import Singular, ZeroDivisor
 from .record import Immutable, Record
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def rational(x) -> Fraction:
+    """The Fraction of a rational input: an int that is not a bool, a
+    Fraction, or an ASCII string [+-]?[0-9]+(/[0-9]+)? with a nonzero
+    denominator.  Anything else raises ValueError naming the entry: a float
+    or a string like "1e0" or " 1" is not coerced, and Fraction() alone
+    would turn "1e10000000" into a ten-million-digit integer."""
+    if type(x) is int:
+        return Fraction(x)
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass  # a zero denominator, or more digits than int() takes
+    raise ValueError("%r is not a rational: an int, a Fraction or a string like '-3/2'"
+                     % (x,))
 
 
 class NumberField(Immutable):
     """The quotient ring Q[theta]/(m) for a monic modulus m of degree >= 1,
-    given by its ascending rational coefficients; trailing zeros are dropped
-    and ``modulus`` holds the rest as a tuple of Fractions.
+    given by its ascending rational coefficients (see ``rational``); trailing
+    zeros are dropped and ``modulus`` holds the rest as a tuple of Fractions.
 
     Arithmetic assumes m is irreducible; a reducible modulus is detected at
     the first inversion of a zero divisor (ZeroDivisor).
@@ -53,7 +76,7 @@ class NumberField(Immutable):
     __slots__ = ("modulus", "degree", "fold_rows", "fold_den")
 
     def __init__(self, modulus):
-        modulus = [_frac(c) for c in modulus]
+        modulus = [rational(c) for c in modulus]
         while modulus and not modulus[-1]:
             modulus.pop()
         n = len(modulus) - 1
@@ -92,10 +115,10 @@ class NumberField(Immutable):
 
     def elem(self, coords) -> "FieldElem":
         """The element sum(coords[k] * theta^k), for a list of rational
-        coordinates of any length: from the top down, each theta^k with
-        k >= n is replaced by theta^(k-n) * (theta^n - m)."""
+        coordinates (see ``rational``) of any length: from the top down, each
+        theta^k with k >= n is replaced by theta^(k-n) * (theta^n - m)."""
         n, m = self.degree, self.modulus
-        r = [_frac(c) for c in coords]
+        r = [rational(c) for c in coords]
         for k in range(len(r) - 1, n - 1, -1):
             c = r.pop()
             if c:
@@ -104,9 +127,8 @@ class NumberField(Immutable):
         return FieldElem(self, r + [Fraction(0)] * (n - len(r)))
 
     def scalar(self, c) -> "FieldElem":
-        if type(c) is not int:
-            c = _frac(c)
-        return _elem(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
+        """The rational c (see ``rational``) as a field element."""
+        return _scalar(self, c if type(c) is int else rational(c))
 
     @property
     def zero(self) -> "FieldElem":
@@ -138,10 +160,11 @@ class FieldElem(Immutable):
     __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: NumberField, coords):
-        """The element with the given rational coordinates."""
+        """The element with the given rational coordinates (see
+        ``rational``)."""
         if len(coords) != field.degree:
             raise ValueError("coordinate length must equal the field degree")
-        coords = [_frac(c) for c in coords]
+        coords = [rational(c) for c in coords]
         den = lcm(*(c.denominator for c in coords))
         _set(self, "field", field)
         _set(self, "nums", tuple(c.numerator * (den // c.denominator) for c in coords))
@@ -159,7 +182,7 @@ class FieldElem(Immutable):
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.scalar(other)
+            return _scalar(self.field, other)
         return None
 
     def __bool__(self):
@@ -169,7 +192,7 @@ class FieldElem(Immutable):
         if not isinstance(other, FieldElem):
             if not isinstance(other, (int, Fraction)):
                 return False
-            other = self.field.scalar(other)
+            other = _scalar(self.field, other)
         return (
             self.den == other.den
             and self.nums == other.nums
@@ -298,6 +321,13 @@ def _elem(field: NumberField, nums: tuple, den: int) -> FieldElem:
     _set(e, "nums", nums)
     _set(e, "den", den)
     return e
+
+
+def _scalar(field: NumberField, c) -> FieldElem:
+    """An int or Fraction operand (a bool included) as a field element,
+    unchecked: only constructors apply ``rational``, while arithmetic and
+    comparison take any int or Fraction."""
+    return _elem(field, (c.numerator,) + (0,) * (field.degree - 1), c.denominator)
 
 
 def _combine(a: FieldElem, b: FieldElem, sign: int) -> FieldElem:

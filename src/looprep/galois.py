@@ -3,6 +3,10 @@
 The caller declares the modulus, the automorphism images g(theta), and a
 subgroup H; the library verifies every group and fixed-field invariant rather
 than discovering anything.  The subgroup cuts out the base field K = L^H.
+Coefficients follow the library's one rational rule (``exact.rational``).
+Set-up runs one chain of powers g(theta)^0 .. g(theta)^n per image: the
+first n are the columns of g's matrix on the power basis, and the whole
+chain checks that g(theta) is a root of the modulus.
 
 ``GaloisContext.apply`` is a sparse integer product on each call.  Spectral
 points, whose images the l-weight layer needs again and again, go through
@@ -13,7 +17,6 @@ spectral character is a relabeling of its points.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
@@ -25,7 +28,7 @@ from .errors import (
     WrongOrder,
     ZeroDivisor,
 )
-from .exact import FieldElem, NumberField, int_kernel_basis
+from .exact import FieldElem, NumberField, _dot, int_kernel_basis, rational
 from .record import Immutable
 
 
@@ -64,10 +67,6 @@ class GaloisContext(Immutable):
         return len(self.images)
 
     @property
-    def full_group(self):
-        return tuple(range(self.order))
-
-    @property
     def k_degree(self) -> int:
         """Degree [K:Q] of the fixed field of H."""
         return self.order // len(self.subgroup)
@@ -82,11 +81,6 @@ class GaloisContext(Immutable):
 
     def __hash__(self):
         return hash((self.field, self.images, self.subgroup))
-
-    # -- group structure
-
-    def compose(self, g: int, h: int) -> int:
-        return self.table[g][h]
 
     # -- actions
 
@@ -118,14 +112,6 @@ class GaloisContext(Immutable):
         seen = {self.apply(g, a) for g in subgroup}
         return tuple(sorted(seen))
 
-    def stabilizer(self, subgroup, a: FieldElem):
-        """Indices in subgroup fixing a; always contains the identity."""
-        return tuple(g for g in subgroup if self.apply(g, a) == a)
-
-    def fixed_space_dim(self, subgroup) -> int:
-        """Q-dimension of the simultaneous fixed space of the subgroup."""
-        return len(self.fixed_space_basis(subgroup))
-
     def fixed_space_basis(self, subgroup):
         """Field elements forming a Q-basis of {v : g(v) = v for g in S}."""
         return _fixed_space_basis(self.field, self.aut_columns, self.table, subgroup)
@@ -155,14 +141,14 @@ def build_context(modulus, aut_images, subgroup=None) -> GaloisContext:
     """Validate modulus, automorphism images, and subgroup; build the context.
 
     The modulus and the images g(theta), one for each group element, are
-    lists of ascending rational coefficients; an image may be longer than
-    the degree and is reduced mod the modulus.  Element 0 must be the
-    identity.  subgroup is a list of int element indices (default: the whole
-    group, so K = Q).
+    lists of ascending rational coefficients (``exact.rational``); an image
+    may be longer than the degree and is reduced mod the modulus.  Element 0
+    must be the identity.  subgroup is a list of int element indices
+    (default: the whole group, so K = Q).
     """
-    # a coefficient Fraction() rejects keeps its ValueError; only the shape
+    # a coefficient rational() rejects keeps its ValueError; only the shape
     # of the modulus is a WrongOrder
-    modulus = [Fraction(c) for c in modulus]
+    modulus = [rational(c) for c in modulus]
     try:
         field = NumberField(modulus)
     except ValueError:
@@ -182,20 +168,26 @@ def build_context(modulus, aut_images, subgroup=None) -> GaloisContext:
         raise WrongOrder("automorphism images are not distinct")
     if images[0] != field.gen:
         raise NotClosed("element 0 must be the identity automorphism")
-    for img in images:
-        value = field.one  # m is monic
-        for c in reversed(field.modulus[:-1]):
-            value = value * img + c
-        if value:
-            raise NotARoot("image %r is not a root of the modulus" % (img,))
 
-    # matrix of each automorphism on the power basis (column k = g(theta)^k)
+    # one chain of powers g(theta)^0 .. g(theta)^n per image: the first n are
+    # the columns of g's matrix on the power basis, and m(g(theta)), the
+    # rational combination sum m_k g(theta)^k of the whole chain, must vanish
+    m_den = lcm(*(c.denominator for c in field.modulus))
+    m_nums = [c.numerator * (m_den // c.denominator) for c in field.modulus]
     aut_columns = []
     for img in images:
-        powers = [field.one]
-        for _ in range(n - 1):
-            powers.append(powers[-1] * img)
-        terms = [p.terms() for p in powers]
+        step = img.terms()
+        terms = [field.one.terms()]
+        for _ in range(n):
+            terms.append(_dot((terms[-1],), (step,), field).terms())
+        chain_den = lcm(*(d for _, d in terms))
+        value = [0] * n
+        for m_k, (col, d) in zip(m_nums, terms):
+            for i, c in col:
+                value[i] += m_k * c * (chain_den // d)
+        if any(value):
+            raise NotARoot("image %r is not a root of the modulus" % (img,))
+        del terms[n]
         den = lcm(*(d for _, d in terms))
         aut_columns.append((
             tuple(tuple((i, c * (den // d)) for i, c in col) for col, d in terms),

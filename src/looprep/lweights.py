@@ -15,7 +15,6 @@ which is identical.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
 from .errors import ContextMismatch, NotDominant
 from .exact import FieldElem
@@ -275,7 +274,7 @@ class LWeight(Immutable):
     def from_json(cls, ctx, rs, data) -> "LWeight":
         factors = {}
         for rec in data:
-            point = ctx.field.elem([Fraction(c) for c in rec["point"]])
+            point = ctx.field.elem(rec["point"])
             _check_ints(rec["node"], rec["exp"])
             key = (rec["node"] - 1, point)
             factors[key] = factors.get(key, 0) + rec["exp"]

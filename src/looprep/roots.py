@@ -177,8 +177,13 @@ class RootSystem(Immutable):
         return all(x >= 0 for x in weight)
 
     def _check_dominant(self, weight):
+        """A weight of this rank with int entries (a bool, a float or a
+        Fraction raises ValueError, not coerced), all nonnegative."""
         if len(weight) != self.rank:
             raise NotDominant("weight %r does not have rank %d" % (weight, self.rank))
+        for x in weight:
+            if type(x) is not int:
+                raise ValueError("weight %r has a non-integer entry %r" % (weight, x))
         if not self.is_dominant(weight):
             raise NotDominant("weight %r is not dominant" % (weight,))
 

@@ -3,8 +3,9 @@
 Coefficients are exact multivariate polynomials in commuting symbols: the
 loop generators h[alpha, s] with s >= 1 and, after evaluation at a spectral
 point, the single symbol h[alpha].  The generating series of the commuting
-loop generators, its logarithm, products over coroot coefficients, the t ->
-t^k twist, evaluation, and the antipode (series inverse) all live here.
+loop generators, its logarithm, products over coroot coefficients,
+evaluation at a spectral point, and the antipode (series inverse) all live
+here.
 
 Everything runs on Python ints.  A monomial is one int: the exponent of each
 symbol sits in a fixed-width slot of a process-wide symbol -> slot table, so
@@ -443,14 +444,6 @@ def h_from_lambda(series: TruncSeries):
     return out
 
 
-def generic_lambda_series(alpha, order: int) -> TruncSeries:
-    """Series with atomic coefficient symbols L[alpha, r], constant term 1."""
-    return TruncSeries(
-        order,
-        [SymPoly.const(1)] + [SymPoly.var(("L", alpha, r)) for r in range(1, order + 1)],
-    )
-
-
 def lambda_alpha_from_simples(rs: RootSystem, root, order: int) -> TruncSeries:
     """Series of a positive root as the product of simple-root series raised
     to the coroot coefficients; symbols are tagged by 1-based node index."""
@@ -480,15 +473,6 @@ def _h_symbols(series: TruncSeries):
         for sym in (_SYMBOLS[slot] for slot, _ in _exponents(support))
         if len(sym) == 3 and sym[0] == "h"
     }
-
-
-def twist(series: TruncSeries, k: int) -> TruncSeries:
-    """The loop twist t -> t^k on symbols: h[alpha, s] becomes h[alpha, ks]."""
-    if k < 1:
-        raise ValueError("twist exponent must be >= 1")
-    return series.substitute({
-        sym: SymPoly.var(h_symbol(sym[1], k * sym[2])) for sym in _h_symbols(series)
-    })
 
 
 def eval_at(series: TruncSeries, point) -> TruncSeries:

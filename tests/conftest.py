@@ -9,9 +9,12 @@ import looprep
 from looprep import (
     LWeight,
     MatrixL,
+    SymPoly,
+    TruncSeries,
     build_context,
     cyclotomic_context,
     gaussian_context,
+    h_symbol,
     rational_context,
     root_system,
 )
@@ -149,14 +152,28 @@ def period_points(ctx):
     the cyclotomic case), so their stabilizers are proper and nontrivial."""
     theta = ctx.field.gen
     pool = point_pool(ctx)
-    for g in ctx.full_group:
+    for g in range(ctx.order):
         power, trace = g, theta
         while power != 0:
             trace = trace + ctx.apply(power, theta)
-            power = ctx.compose(g, power)
+            power = ctx.table[g][power]
         if trace and trace not in pool:
             pool.append(trace)
     return pool
+
+
+def generic_series(alpha, order):
+    """The series with atomic coefficient symbols L[alpha, r] and constant
+    term 1."""
+    return TruncSeries(
+        order, [1] + [SymPoly.var(("L", alpha, r)) for r in range(1, order + 1)])
+
+
+def twisted(series, alpha, k):
+    """The loop twist t -> t^k of a series in the symbols h[alpha, s]:
+    TruncSeries.substitute with h[alpha, s] -> h[alpha, ks]."""
+    return series.substitute({h_symbol(alpha, s): SymPoly.var(h_symbol(alpha, k * s))
+                              for s in range(1, series.order + 1)})
 
 
 def random_dominant(ctx, rs, rng: random.Random, max_support=3, max_exp=2, pool=None):

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -26,7 +27,7 @@ from exact_oracle import (
     poly_xgcd,
     xgcd_inverse,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from looprep import (
@@ -34,6 +35,7 @@ from looprep import (
     LWeight,
     MatrixL,
     NumberField,
+    build_context,
     cyclotomic_context,
     gaussian_context,
     rational_context,
@@ -42,7 +44,7 @@ from looprep import (
 )
 from looprep import exact as exact_module
 from looprep.errors import Singular, ZeroDivisor
-from looprep.exact import int_inverse, int_kernel_basis, int_rref
+from looprep.exact import int_inverse, int_kernel_basis, int_rref, rational
 
 
 # The list polynomials of exact_oracle back the square-free, reduction,
@@ -421,11 +423,55 @@ class TestIntegerForm:
         b = a * 2 - a
         assert a == b and hash(a) == hash(b) and a and a.terms()
         assert a + b - a == b and not (a - b)
-        assert a != 3 and a * 0 == 0 and field.scalar(True) == 1
+        assert a != 3 and a * 0 == 0 and field.scalar(Fraction(1)) == 1
         with pytest.raises(AttributeError):
             a._coords
         with pytest.raises(AttributeError):
             b._coords
+
+
+# --- the one rational rule of every constructor -------------------------------
+
+NOT_RATIONAL = [0.5, 1.0, True, False, "1e0", " 1", "1.5", "1/0", "1_0", "\u0661",
+                Decimal(1), None]
+
+
+@settings(deadline=None)
+@given(st.fractions())
+@example(Fraction(0))
+@example(Fraction(-3))
+@example(Fraction(-7, 4))
+def test_rational_reads_its_own_text(q):
+    assert rational(str(q)) == q
+    assert rational(q) is q
+    if q.denominator == 1:
+        assert rational(q.numerator) == q and type(rational(q.numerator)) is Fraction
+
+
+@pytest.mark.parametrize("entry", NOT_RATIONAL, ids=repr)
+def test_constructors_reject_what_rational_rejects(qi, a1, entry):
+    # each used to coerce: a float through Fraction(), a bool as 0 or 1,
+    # "1e0" as an exponent literal
+    constructors = [
+        rational,
+        lambda x: NumberField([x, 0, 1]),
+        lambda x: qi.field.elem([0, x]),
+        lambda x: qi.field.scalar(x),
+        lambda x: FieldElem(qi.field, [x, 0]),
+        lambda x: build_context([x, 0, 1], [[0, 1], [0, -1]]),
+        lambda x: build_context([1, 0, 1], [[0, 1], [x, -1]]),
+        lambda x: LWeight.from_json(qi, a1, [{"node": 1, "point": [1, x], "exp": 1}]),
+    ]
+    for construct in constructors:
+        with pytest.raises(ValueError, match="is not a rational"):
+            construct(entry)
+
+
+def test_operators_take_any_int_or_fraction(qi):
+    # the rule is for constructors; arithmetic and comparison are unchanged
+    theta = qi.field.gen
+    assert theta * 2 == theta + theta and theta * Fraction(1, 2) * 2 == theta
+    assert qi.field.one == 1 and qi.field.one == True and qi.field.one + True == 2
 
 
 # --- the fraction-free elimination against the Fraction Gauss-Jordan oracle ---
@@ -642,7 +688,7 @@ def oracle_fixed_space(ctx, subgroup):
 def test_k_basis_matches_oracle(name):
     ctx = STOCK_CONTEXTS[name]()
     assert ctx.k_basis == oracle_fixed_space(ctx, ctx.subgroup)
-    assert oracle_fixed_space(ctx, ctx.full_group) == (ctx.field.one,)
+    assert oracle_fixed_space(ctx, range(ctx.order)) == (ctx.field.one,)
 
 
 def test_k_basis_of_non_integral_modulus_matches_oracle(kernel_contexts):
@@ -655,7 +701,7 @@ def all_subgroups(ctx):
     def closure(elems):
         span = set(elems)
         while True:
-            grown = span | {ctx.compose(g, h) for g in span for h in span}
+            grown = span | {ctx.table[g][h] for g in span for h in span}
             if grown == span:
                 return frozenset(span)
             span = grown
@@ -665,7 +711,7 @@ def all_subgroups(ctx):
         sub = todo.pop()
         if sub not in found:
             found.add(sub)
-            todo += [closure(sub | {g}) for g in ctx.full_group if g not in sub]
+            todo += [closure(sub | {g}) for g in range(ctx.order) if g not in sub]
     return sorted(tuple(sorted(sub)) for sub in found)
 
 
@@ -674,7 +720,7 @@ def all_subgroups(ctx):
 def test_fixed_space_of_every_subgroup_matches_oracle(name):
     ctx = STOCK_CONTEXTS[name]()
     subgroups = all_subgroups(ctx)
-    assert (0,) in subgroups and ctx.full_group in subgroups
+    assert (0,) in subgroups and tuple(range(ctx.order)) in subgroups
     for sub in subgroups:
         assert ctx.fixed_space_basis(sub) == oracle_fixed_space(ctx, sub), sub
 

@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -34,16 +35,37 @@ class TestBuildContext:
         # H = {id, theta -> theta^4} fixes Q(theta + theta^4) = Q(sqrt 5)
         assert cyclo5_half.order == 4
         assert cyclo5_half.k_degree == 2
-        assert cyclo5_half.fixed_space_dim(cyclo5_half.subgroup) == 2
+        assert len(cyclo5_half.fixed_space_basis(cyclo5_half.subgroup)) == 2
 
     def test_degree_one_base_case(self, trivial_ctx):
         assert trivial_ctx.order == 1
         assert trivial_ctx.k_degree == 1
-        assert trivial_ctx.fixed_space_dim(trivial_ctx.full_group) == 1
+        assert len(trivial_ctx.fixed_space_basis(range(trivial_ctx.order))) == 1
 
     def test_not_a_root(self):
         with pytest.raises(NotARoot):
             build_context([1, 0, 1], [[0, 1], [1, 1]])
+
+    @pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+    def test_changed_image_coefficient_is_not_a_root(self, kernel_contexts, name):
+        # every root of the modulus in L is one of the images, so an image
+        # moved off the declared set fails the root check; that check runs
+        # image by image and before the composition table, so the first
+        # changed image is the one reported
+        ctx = kernel_contexts[name]
+        data = ctx.to_json()
+        n = ctx.order
+        for g in range(1, n):
+            for k in range(n):
+                images = [img + ["0"] * (n - len(img)) for img in data["automorphisms"]]
+                images[g][k] = str(Fraction(images[g][k]) + (1 if k % 2 else Fraction(-1, 2)))
+                changed = ctx.field.elem(images[g])
+                if changed in ctx.images:
+                    continue
+                if g < n - 1:
+                    images[-1][0] = str(Fraction(images[-1][0]) + 1)
+                with pytest.raises(NotARoot, match=re.escape("image %r " % (changed,))):
+                    build_context(data["modulus"], images, data["subgroup"])
 
     def test_wrong_order(self):
         with pytest.raises(WrongOrder):
@@ -103,7 +125,7 @@ class TestAutomorphismAction:
 
     def test_rationals_are_fixed(self, cyclo5):
         val = cyclo5.field.scalar(Fraction(5, 3))
-        assert all(cyclo5.apply(g, val) == val for g in cyclo5.full_group)
+        assert all(cyclo5.apply(g, val) == val for g in range(cyclo5.order))
 
     def test_substitution_example(self, cyclo5):
         theta = cyclo5.field.gen
@@ -130,17 +152,22 @@ class TestAutomorphismAction:
             g = rng.randrange(cyclo5.order)
             h = rng.randrange(cyclo5.order)
             assert cyclo5.apply(g, cyclo5.apply(h, a)) == \
-                cyclo5.apply(cyclo5.compose(g, h), a)
+                cyclo5.apply(cyclo5.table[g][h], a)
+
+
+def stabilizer(ctx, subgroup, a):
+    """The elements of subgroup that fix a."""
+    return tuple(g for g in subgroup if ctx.apply(g, a) == a)
 
 
 class TestOrbitsAndStabilizers:
     def test_orbit_of_generator(self, qi):
         theta = qi.field.gen
-        assert qi.orbit(qi.full_group, theta) == (-theta, theta)
+        assert qi.orbit(range(qi.order), theta) == (-theta, theta)
 
     def test_orbit_of_one(self, cyclo5):
         one = cyclo5.field.one
-        assert cyclo5.orbit(cyclo5.full_group, one) == (one,)
+        assert cyclo5.orbit(range(cyclo5.order), one) == (one,)
 
     def test_half_subgroup_orbit(self, cyclo5_half):
         theta = cyclo5_half.field.gen
@@ -148,10 +175,10 @@ class TestOrbitsAndStabilizers:
         assert set(orbit) == {theta, theta ** 4}
 
     def test_stabilizer_examples(self, qi, cyclo5):
-        assert qi.stabilizer(qi.full_group, qi.field.gen) == (0,)
-        assert qi.stabilizer(qi.full_group, qi.field.scalar(Fraction(5, 3))) == (0, 1)
+        assert stabilizer(qi, range(qi.order), qi.field.gen) == (0,)
+        assert stabilizer(qi, range(qi.order), qi.field.scalar(Fraction(5, 3))) == (0, 1)
         theta = cyclo5.field.gen
-        assert cyclo5.stabilizer(cyclo5.full_group, theta + theta ** 4) == (0, 3)
+        assert stabilizer(cyclo5, range(cyclo5.order), theta + theta ** 4) == (0, 3)
 
     @pytest.mark.parametrize("ctx_name", ["qi", "cyclo5", "zeta8"])
     def test_orbit_stabilizer_theorem(self, ctx_name, request):
@@ -160,21 +187,21 @@ class TestOrbitsAndStabilizers:
         rng = random.Random(41)
         for _ in range(20):
             a = field.elem([rng.randint(-2, 2) for _ in range(field.degree)])
-            for sub in (ctx.full_group, ctx.subgroup):
+            for sub in (range(ctx.order), ctx.subgroup):
                 orbit = ctx.orbit(sub, a)
-                stab = ctx.stabilizer(sub, a)
+                stab = stabilizer(ctx, sub, a)
                 assert len(orbit) * len(stab) == len(sub)
 
 
 class TestFixedSpaces:
     def test_trivial_subgroup(self, cyclo5):
-        assert cyclo5.fixed_space_dim([0]) == 4
+        assert len(cyclo5.fixed_space_basis([0])) == 4
 
     def test_full_group(self, cyclo5):
-        assert cyclo5.fixed_space_dim(cyclo5.full_group) == 1
+        assert len(cyclo5.fixed_space_basis(range(cyclo5.order))) == 1
 
     def test_half_subgroup(self, cyclo5_half):
-        assert cyclo5_half.fixed_space_dim(cyclo5_half.subgroup) == 2
+        assert len(cyclo5_half.fixed_space_basis(cyclo5_half.subgroup)) == 2
 
     def test_basis_is_fixed(self, zeta8):
         for vec in zeta8.fixed_space_basis(zeta8.subgroup):
@@ -219,10 +246,10 @@ class TestSparseAction:
     @pytest.mark.parametrize("name", KERNEL_CONTEXTS)
     def test_table_matches_matrix_composition(self, kernel_contexts, name):
         ctx = kernel_contexts[name]
-        for g in ctx.full_group:
-            for h in ctx.full_group:
+        for g in range(ctx.order):
+            for h in range(ctx.order):
                 image = matrix_apply(ctx, g, ctx.images[h])
-                assert image == ctx.images[ctx.compose(g, h)]
+                assert image == ctx.images[ctx.table[g][h]]
 
     @pytest.mark.parametrize("name", KERNEL_CONTEXTS)
     @settings(deadline=None)
@@ -231,7 +258,7 @@ class TestSparseAction:
         ctx = kernel_contexts[name]
         a = data.draw(field_elements(ctx.field))
         b = data.draw(field_elements(ctx.field))
-        g = data.draw(st.sampled_from(ctx.full_group))
+        g = data.draw(st.sampled_from(range(ctx.order)))
         assert ctx.apply(g, a) == matrix_apply(ctx, g, a)
         assert ctx.apply(g, a * b) == ctx.apply(g, a) * ctx.apply(g, b)
 
@@ -242,7 +269,7 @@ def generated(ctx, gens):
     """Oracle: close {identity} under composition with the generators."""
     span = {0}
     while True:
-        bigger = span | {ctx.compose(g, x) for g in gens for x in span}
+        bigger = span | {ctx.table[g][x] for g in gens for x in span}
         if bigger == span:
             return span
         span = bigger
@@ -284,7 +311,7 @@ class TestContextData:
         # build_context solves for K with the rows of generators of H only
         ctx = s3_context(subgroup)
         assert ctx.k_basis == ctx.fixed_space_basis(ctx.subgroup)
-        assert len(ctx.fixed_space_basis(ctx.full_group)) == 1
+        assert len(ctx.fixed_space_basis(range(ctx.order))) == 1
 
 
 # --- the table of spectral points ---------------------------------------------
@@ -293,8 +320,8 @@ class TestPointTable:
     def test_s3_is_not_abelian(self):
         ctx = s3_context()
         assert ctx.order == 6 and ctx.k_degree == 1
-        assert any(ctx.compose(g, h) != ctx.compose(h, g)
-                   for g in ctx.full_group for h in ctx.full_group)
+        assert any(ctx.table[g][h] != ctx.table[h][g]
+                   for g in range(ctx.order) for h in range(ctx.order))
         assert s3_context([0, 3]).k_degree == 3
 
     @pytest.mark.parametrize("name", CONTEXTS + ("s3",))
@@ -309,8 +336,8 @@ class TestPointTable:
             settings_by_name[name].to_json())
         p = data.draw(field_elements(ctx.field).filter(bool))
         row = ctx.point_images(p)
-        assert row == tuple(ctx.apply(g, p) for g in ctx.full_group)
-        expected = {q: tuple(ctx.apply(g, q) for g in ctx.full_group) for q in row}
+        assert row == tuple(ctx.apply(g, p) for g in range(ctx.order))
+        expected = {q: tuple(ctx.apply(g, q) for g in range(ctx.order)) for q in row}
         with mock.patch.object(galois_module, "_act", side_effect=AssertionError("recomputed")):
             for q in row:
                 assert ctx.point_images(q) == expected[q]
@@ -320,7 +347,7 @@ class TestPointTable:
         theta = zeta8.field.gen
         zeta8.point_images(theta)
         size = len(zeta8._point_rows)
-        for g in zeta8.full_group:
+        for g in range(zeta8.order):
             zeta8.apply(g, theta * theta + 7)
         assert len(zeta8._point_rows) == size
 

@@ -284,6 +284,19 @@ class TestWeightMults:
             with pytest.raises(NotDominant):
                 call(weight)
 
+    @pytest.mark.parametrize("weight", [(2.0, 0), (True, 0), (0, 1.5), (Fraction(1), 1),
+                                        (1, "1")], ids=repr)
+    def test_non_int_entries_are_rejected(self, a2, weight):
+        # weight_mults((2.0,)) on A1 used to return float keys and a float
+        # multiplicity, and weyl_dim((1.5,)) blamed the root data
+        for call in (a2.weyl_dim, a2.weight_mults,
+                     lambda w: a2.tensor_decompose(w, (1, 0)),
+                     lambda w: a2.tensor_decompose((1, 0), w),
+                     lambda w: a2.link_chain(w, (0, 0)),
+                     lambda w: a2.link_chain((0, 0), w)):
+            with pytest.raises(ValueError, match="non-integer entry"):
+                call(weight)
+
     def test_returned_map_is_fresh(self):
         rs = root_system("B2")
         mults = rs.weight_mults((1, 1))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import generic_series, twisted
 
 from looprep import (
     SymPoly,
@@ -9,7 +10,6 @@ from looprep import (
     binom_poly,
     ev_lambda_check,
     eval_at,
-    generic_lambda_series,
     h_from_lambda,
     h_series,
     h_symbol,
@@ -18,7 +18,6 @@ from looprep import (
     lambda_from_h,
     root_system,
     series_inverse,
-    twist,
 )
 from looprep import series
 from looprep.errors import BadConstantTerm, ZeroPoint
@@ -93,7 +92,7 @@ class TestLogRecovery:
         assert recovered[0] == H(1)
 
     def test_generic_coefficients(self):
-        hs = h_from_lambda(generic_lambda_series("a", 4))
+        hs = h_from_lambda(generic_series("a", 4))
         L1 = SymPoly.var(("L", "a", 1))
         L2 = SymPoly.var(("L", "a", 2))
         assert hs[0] == -L1
@@ -142,7 +141,7 @@ class TestRecurrences:
 
     @pytest.mark.parametrize("order", range(1, 9))
     def test_generic_series(self, order):
-        generic = generic_lambda_series("a", order)
+        generic = generic_series("a", order)
         logs = _log(generic)
         assert logs.coeffs == power_log(generic).coeffs
         assert _exp(logs).coeffs == power_exp(logs).coeffs == generic.coeffs
@@ -205,20 +204,22 @@ class TestMixedTags:
         assert str(both) == "L[a,1] + h[a,1]"
         assert str(SymPoly.var(("x",)) * 3) == "(3)*x"
         assert str(SymPoly.var(h_point_symbol("a"))) == "h[a]"
-        assert str(generic_lambda_series("a", 2).coeffs[2]) == "L[a,2]"
+        assert str(generic_series("a", 2).coeffs[2]) == "L[a,2]"
 
 
 class TestTwist:
+    # the twist t -> t^k is TruncSeries.substitute on the symbols
+
     def test_identity_twist(self):
         lam = lambda_from_h("a", 4)
-        assert twist(lam, 1) == lam
+        assert twisted(lam, "a", 1) == lam
 
     def test_symbol_substitution(self):
         lam = lambda_from_h("a", 4)
-        assert twist(lam, 2).coeffs[1] == -SymPoly.var(h_symbol("a", 2))
+        assert twisted(lam, "a", 2).coeffs[1] == -SymPoly.var(h_symbol("a", 2))
 
     def test_second_coefficient(self):
-        lam = twist(lambda_from_h("a", 4), 2)
+        lam = twisted(lambda_from_h("a", 4), "a", 2)
         h2 = SymPoly.var(h_symbol("a", 2))
         h4 = SymPoly.var(h_symbol("a", 4))
         assert lam.coeffs[2] == (h2 * h2 - h4) * Fraction(1, 2)

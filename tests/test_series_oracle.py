@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import series_oracle as oracle
+from conftest import generic_series, twisted
 from looprep import (
     SymPoly,
     TruncSeries,
     binom_poly,
     eval_at,
-    generic_lambda_series,
     h_from_lambda,
     h_series,
     h_symbol,
@@ -22,7 +22,6 @@ from looprep import (
     lambda_from_h,
     root_system,
     series_inverse,
-    twist,
 )
 from looprep import series
 from looprep.errors import ExponentOverflow
@@ -112,7 +111,7 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("order", [1, 5, MAX_ORDER])
     def test_generic_series(self, order):
-        generic = generic_lambda_series("a", order)
+        generic = generic_series("a", order)
         expected = oracle.generic_lambda_series("a", order)
         assert_same_series(generic, expected)
         for got, want in zip(h_from_lambda(generic), oracle.h_from_lambda(expected)):
@@ -122,7 +121,7 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("order", [1, 4, 8, MAX_ORDER])
     def test_twist(self, k, order):
-        assert_same_series(twist(lambda_from_h("a", order), k),
+        assert_same_series(twisted(lambda_from_h("a", order), "a", k),
                            oracle.twist(oracle.lambda_from_h("a", order), k))
 
     @pytest.mark.parametrize("point", [Fraction(1), Fraction(-1), Fraction(-2, 3),

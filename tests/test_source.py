@@ -191,13 +191,13 @@ PUBLIC_NAMES = {
     "RootDataInconsistency", "RootSystem", "SmithForm", "SpectralCharacter", "SymPoly",
     "TruncSeries", "binom_poly", "build_context", "build_kx_module", "char_poly",
     "char_poly_split_check", "classify", "compositum_degree", "context_from_json",
-    "cyclotomic_context", "dim_weyl_f", "dim_weyl_k", "equivalent_chars", "ev_lambda_check",
-    "eval_at", "gaussian_context", "generic_lambda_series", "h_from_lambda", "h_series",
+    "cyclotomic_context", "dim_weyl_f", "dim_weyl_k", "ev_lambda_check",
+    "eval_at", "gaussian_context", "h_from_lambda", "h_series",
     "h_symbol", "iso_test", "lambda_alpha_from_simples", "lambda_alpha_identity_holds",
     "lambda_from_h", "multiplication_matrix", "partition_blocks", "rational_context",
     "root_system", "same_block", "series_inverse", "smith_normal_form",
     "spectral_character", "tensor_decompose_k", "tensor_embedding_rank",
-    "tp_irreducible_criterion", "twist",
+    "tp_irreducible_criterion",
 }
 
 
@@ -209,7 +209,7 @@ def test_cli_import_loads_no_dataclasses(src_env):
 
 
 def test_package_names_resolve_on_first_use(src_env):
-    assert set(looprep.__all__) == PUBLIC_NAMES and len(looprep.__all__) == 51
+    assert set(looprep.__all__) == PUBLIC_NAMES and len(looprep.__all__) == 48
     assert set(looprep.__all__) <= set(dir(looprep))
     with pytest.raises(AttributeError):
         looprep.nope
